@@ -3,8 +3,8 @@
 The library implements four stochastic-gradient update rules (plain LMS,
 leaky LMS, and their shrinkage-constrained counterparts) plus everything
 needed to reproduce a sparse-system-identification study: seeded signal
-generators, a trial/cell runner with bit-exact parallelism, and CSV/SVG
-emitters behind the ``sparselms`` command.
+generators, a trial/cell runner whose batched engine reproduces every run
+bit for bit, and CSV/SVG emitters behind the ``sparselms`` command.
 """
 
 from .errors import (
@@ -47,7 +47,6 @@ from .experiment import (
     steady_state,
 )
 from .cli import emit_csv, emit_plot, parse_config
-from ._kernels import available_backends, default_backend
 
 __version__ = "0.1.0"
 
@@ -64,8 +63,6 @@ __all__ = [
     "RngStream",
     "SteadyStateSummary",
     "Variant",
-    "available_backends",
-    "default_backend",
     "default_schedule",
     "emit_csv",
     "emit_plot",

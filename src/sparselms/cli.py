@@ -381,7 +381,11 @@ def build_arg_parser():
     )
     ap.add_argument("--sr", metavar="LIST", help="comma-separated sparsity ratios like 1/16,8/16")
     ap.add_argument(
-        "--workers", type=int, metavar="N", help="worker threads across runs (default: serial)"
+        "--workers",
+        type=int,
+        metavar="N",
+        help="worker count, >= 1; all runs of a cell advance together in one batch, "
+        "so N does not change the work or the output",
     )
     ap.add_argument("--plot", action="store_true", help="also write an SVG convergence plot")
     ap.add_argument("--db", action="store_true", help="plot MSD on a dB scale")

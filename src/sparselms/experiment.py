@@ -6,21 +6,25 @@ a fixed number of iterations, and records the squared weight deviation
 ``sum((w_true - w_est)**2)`` after every update.  Curves are these traces
 averaged pointwise over runs.
 
+All runs of a cell advance together through one engine, which updates a
+(runs x taps) weight array one iteration at a time.  Each run only ever
+reduces over its own taps, so its trace does not depend, bit for bit, on
+which other runs share the batch.
+
 Reproducibility contract: a cell's output is a pure function of
 (ExperimentConfig, variant, sparsity level).  Runs use per-run RNG streams
-and are reduced in run-index order, so results are bit-identical for any
-worker count, and all variants see identical realizations at a given run
-index (paired comparisons).
+and are reduced in run-index order, so results are bit-identical from one
+invocation to the next, and all variants see identical realizations at a
+given run index (paired comparisons).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from . import _kernels
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, ParameterError
-from .filter_core import AlgorithmConfig, LeakSign, Variant
+from .filter_core import _SHRINKING, AlgorithmConfig, Variant
 from .signal_gen import RngStream, gen_ar1_input, gen_gaussian_noise, gen_sparse_system
 
 __all__ = [
@@ -162,17 +166,53 @@ def msd(true_w, est_w):
     return float(np.dot(d, d))
 
 
-def _leak_mult(cfg):
-    if cfg.variant is Variant.LLMS:
-        return 1.0 - cfg.mu * cfg.gamma
-    if cfg.variant is Variant.LP_LIKE_LLMS:
-        if cfg.leak_sign is LeakSign.PLUS:
-            return 1.0 + cfg.mu * cfg.gamma
-        return 1.0 - cfg.mu * cfg.gamma
-    return 1.0
+def _run_batch(systems, xs, noises, cfg, iterations):
+    """Adapt every run of a batch from zero weights, all runs together.
+
+    Row r of ``systems`` (runs x taps), ``xs`` and ``noises`` (runs x at
+    least ``iterations``) is one run's realization.  Returns the
+    (runs x iterations) squared-deviation traces and, per run, the first
+    iteration whose weights went non-finite (-1 if none); a diverged run's
+    trace past that iteration is meaningless.
+    """
+    runs, n_taps = systems.shape
+    xpad = np.concatenate([np.zeros((runs, n_taps - 1)), xs[:, :iterations]], axis=1)
+    # regressors[r, k] is run r's window x[k], x[k-1], ..., a view: nothing
+    # of size runs x iterations x taps is ever materialised
+    regressors = sliding_window_view(xpad, n_taps, axis=1)[..., ::-1]
+    mu, leak_mult = cfg.mu, cfg.leak_mult
+    shrink = cfg.variant in _SHRINKING
+    rho_pl, eps_pl, p = cfg.rho_pl, cfg.epsilon_pl, cfg.p
+    pm = 1.0 - p
+    w = np.zeros((runs, n_taps))
+    traces = np.empty((runs, iterations))
+    bad = np.full(runs, -1)
+    # Only elementwise products and row sums: a batched dot product could
+    # change a run's summation order with the batch size.  Overflow here is
+    # divergence, which the finite check reports by value.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iterations):
+            xk = regressors[:, k]
+            e = noises[:, k] + (systems * xk).sum(axis=1) - (w * xk).sum(axis=1)
+            new_w = leak_mult * w + (mu * e)[:, None] * xk
+            if shrink:
+                g = rho_pl * (p / (eps_pl + np.abs(w) ** pm))
+                new_w = new_w - np.sign(w) * g
+            w = new_w
+            diff = systems - w
+            traces[:, k] = (diff * diff).sum(axis=1)
+            finite = np.isfinite(w).all(axis=1)
+            if not finite.all():
+                bad[~finite & (bad < 0)] = k
+    return traces, bad
 
 
-def run_trial(system, x, noise, cfg, iterations, backend=None):
+def _check_workers(workers):
+    if workers is not None and workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
+
+
+def run_trial(system, x, noise, cfg, iterations):
     """One full adaptation from zero weights; returns the deviation trace.
 
     At iteration k the desired sample is ``system . x_k + noise[k]`` with a
@@ -194,37 +234,24 @@ def run_trial(system, x, noise, cfg, iterations, backend=None):
             f"input and noise must provide at least {iterations} samples, "
             f"got {x.shape[0]} and {noise.shape[0]}"
         )
-    n_taps = system.shape[0]
-    xpad = np.concatenate([np.zeros(n_taps - 1), x[:iterations]])
-    trace = np.empty(iterations)
-    loop = _kernels.get_trial_loop(backend)
-    bad = loop(
-        system,
-        xpad,
-        noise,
-        iterations,
-        _kernels.VARIANT_CODES[cfg.variant.value],
-        cfg.mu,
-        _leak_mult(cfg),
-        cfg.rho_pl,
-        cfg.epsilon_pl,
-        cfg.p,
-        trace,
-    )
-    if bad >= 0:
+    traces, bad = _run_batch(system[None], x[None], noise[None], cfg, iterations)
+    if bad[0] >= 0:
         raise DivergenceError(
-            f"weights became non-finite at iteration {bad}", iteration=int(bad)
+            f"weights became non-finite at iteration {bad[0]}", iteration=int(bad[0])
         )
-    return trace
+    return traces[0]
 
 
-def run_cell(variant, sparsity_level, config, workers=None, backend=None):
+def run_cell(variant, sparsity_level, config, workers=None):
     """Average one (variant, sparsity) cell over ``config.runs`` runs.
 
     Run r's realizations come from ``RngStream(master_seed, r)`` and depend
     only on r, so every variant's cell sees the same systems, inputs, and
-    noise.  Traces are summed in run-index order whatever ``workers`` is.
+    noise.  All runs advance together and traces are summed in run-index
+    order.  ``workers`` (None or >= 1) does not change the work or the
+    result.
     """
+    _check_workers(workers)
     key = (variant, sparsity_level)
     if key not in config.schedule:
         raise ConfigError(
@@ -235,17 +262,24 @@ def run_cell(variant, sparsity_level, config, workers=None, backend=None):
     length = n + config.n_taps
     tail_w = min(config.steady_state_window, n)
 
-    def one_run(r):
+    systems = np.empty((config.runs, config.n_taps))
+    xs = np.empty((config.runs, length))
+    noises = np.empty((config.runs, length))
+    for r in range(config.runs):
         stream = RngStream(config.master_seed, r)
-        system = gen_sparse_system(config.n_taps, sparsity_level, stream)
-        x = gen_ar1_input(length, config.ar_coeff, config.drive_variance, stream)
-        noise = gen_gaussian_noise(length, config.noise_variance, stream)
-        try:
-            trace = run_trial(system, x, noise, cfg, n, backend=backend)
-        except DivergenceError as err:
+        systems[r] = gen_sparse_system(config.n_taps, sparsity_level, stream)
+        xs[r] = gen_ar1_input(length, config.ar_coeff, config.drive_variance, stream)
+        noises[r] = gen_gaussian_noise(length, config.noise_variance, stream)
+    traces, bad = _run_batch(systems, xs, noises, cfg, n)
+
+    acc = np.zeros(n)
+    for r, trace in enumerate(traces):
+        if bad[r] >= 0:
             raise DivergenceError(
-                f"{err} (run {r})", iteration=err.iteration, run=r
-            ) from None
+                f"weights became non-finite at iteration {bad[r]} (run {r})",
+                iteration=int(bad[r]),
+                run=r,
+            )
         if trace.max() > _TRACE_ABORT:
             k = int(np.argmax(trace > _TRACE_ABORT))
             raise DivergenceError(
@@ -253,34 +287,20 @@ def run_cell(variant, sparsity_level, config, workers=None, backend=None):
                 iteration=k,
                 run=r,
             )
-        return trace
-
-    acc = np.zeros(n)
-    tails = np.empty((config.runs, tail_w))
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for r, trace in enumerate(pool.map(one_run, range(config.runs))):
-                acc += trace
-                tails[r] = trace[-tail_w:]
-    else:
-        for r in range(config.runs):
-            trace = one_run(r)
-            acc += trace
-            tails[r] = trace[-tail_w:]
+        acc += trace
+    # a copy, so that the curve does not keep the whole trace array alive
+    tails = traces[:, -tail_w:].copy()
     return MsdCurve(variant, sparsity_level, config.n_taps, acc / config.runs, config.runs, tails)
 
 
-def run_experiment(config, variants=None, levels=None, workers=None, backend=None):
+def run_experiment(config, variants=None, levels=None, workers=None):
     """Run all requested cells; defaults to every variant at every level."""
+    _check_workers(workers)
     if variants is None:
         variants = list(Variant)
     if levels is None:
         levels = list(config.sparsity_levels)
-    return [
-        run_cell(v, s, config, workers=workers, backend=backend)
-        for v in variants
-        for s in levels
-    ]
+    return [run_cell(v, s, config, workers=workers) for v in variants for s in levels]
 
 
 def steady_state(curve, window):

@@ -111,6 +111,21 @@ class AlgorithmConfig:
                     f"epsilon_pl must satisfy epsilon_pl > 0, got {self.epsilon_pl}"
                 )
 
+    @property
+    def leak_mult(self):
+        """Weight multiplier of the leak.
+
+        ``1 - mu*gamma`` for ``llms``; ``1 + mu*gamma`` or ``1 - mu*gamma``, by
+        ``leak_sign``, for ``lp_like_llms``; 1 for the variants without leakage.
+        """
+        if self.variant is Variant.LLMS or (
+            self.variant is Variant.LP_LIKE_LLMS and self.leak_sign is LeakSign.MINUS
+        ):
+            return 1.0 - self.mu * self.gamma
+        if self.variant is Variant.LP_LIKE_LLMS:
+            return 1.0 + self.mu * self.gamma
+        return 1.0
+
 
 @dataclass(frozen=True)
 class FilterState:
@@ -204,7 +219,10 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
 
 
 def _advance(state, x, desired, mu, leak_mult, shrink):
-    """Shared step body: leak, gradient correction, optional shrinkage."""
+    """Shared step body: leak, gradient correction, optional shrinkage.
+
+    Returns the new state and the pre-update error ``desired - w . x``.
+    """
     x = np.asarray(x, dtype=float)
     w = state.weights
     _check_lengths(w, x)
@@ -218,26 +236,25 @@ def _advance(state, x, desired, mu, leak_mult, shrink):
             f"weights became non-finite at iteration {state.iteration}",
             iteration=state.iteration,
         )
-    return FilterState(new_w, state.iteration + 1)
+    return FilterState(new_w, state.iteration + 1), e
 
 
 def lms_step(state, x, desired, cfg):
     """One plain LMS update: ``w' = w + mu*e*x``."""
     _check_variant(cfg, Variant.LMS)
-    return _advance(state, x, desired, cfg.mu, 1.0, None)
+    return step(state, x, desired, cfg)[0]
 
 
 def llms_step(state, x, desired, cfg):
     """One leaky LMS update: ``w' = (1 - mu*gamma)*w + mu*e*x``."""
     _check_variant(cfg, Variant.LLMS)
-    return _advance(state, x, desired, cfg.mu, 1.0 - cfg.mu * cfg.gamma, None)
+    return step(state, x, desired, cfg)[0]
 
 
 def lp_like_lms_step(state, x, desired, cfg):
     """One shrinkage-constrained LMS update: ``w' = w + mu*e*x - rho_pl*g(w)``."""
     _check_variant(cfg, Variant.LP_LIKE_LMS)
-    shrink = (cfg.rho_pl, cfg.p, cfg.epsilon_pl)
-    return _advance(state, x, desired, cfg.mu, 1.0, shrink)
+    return step(state, x, desired, cfg)[0]
 
 
 def lp_like_llms_step(state, x, desired, cfg):
@@ -247,20 +264,7 @@ def lp_like_llms_step(state, x, desired, cfg):
     taken from ``cfg.leak_sign`` (PLUS by default).
     """
     _check_variant(cfg, Variant.LP_LIKE_LLMS)
-    if cfg.leak_sign is LeakSign.PLUS:
-        leak_mult = 1.0 + cfg.mu * cfg.gamma
-    else:
-        leak_mult = 1.0 - cfg.mu * cfg.gamma
-    shrink = (cfg.rho_pl, cfg.p, cfg.epsilon_pl)
-    return _advance(state, x, desired, cfg.mu, leak_mult, shrink)
-
-
-_STEP_FNS = {
-    Variant.LMS: lms_step,
-    Variant.LLMS: llms_step,
-    Variant.LP_LIKE_LMS: lp_like_lms_step,
-    Variant.LP_LIKE_LLMS: lp_like_llms_step,
-}
+    return step(state, x, desired, cfg)[0]
 
 
 def step(state, x, desired, cfg):
@@ -272,7 +276,5 @@ def step(state, x, desired, cfg):
         The new state and the pre-update error ``e = desired - w . x``,
         which is the same for every variant.
     """
-    x = np.asarray(x, dtype=float)
-    e = instantaneous_error(desired, predict(state, x))
-    new_state = _STEP_FNS[cfg.variant](state, x, desired, cfg)
-    return new_state, e
+    shrink = (cfg.rho_pl, cfg.p, cfg.epsilon_pl) if cfg.variant in _SHRINKING else None
+    return _advance(state, x, desired, cfg.mu, cfg.leak_mult, shrink)

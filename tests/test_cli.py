@@ -6,6 +6,7 @@ import pytest
 from sparselms import (
     AlgorithmConfig,
     ConfigError,
+    ExperimentConfig,
     LeakSign,
     MsdCurve,
     ParameterError,
@@ -14,6 +15,8 @@ from sparselms import (
     emit_csv,
     emit_plot,
     parse_config,
+    run_cell,
+    run_experiment,
 )
 from sparselms.cli import main
 
@@ -355,3 +358,17 @@ def test_main_workers_flag_matches_serial(tmp_path):
     a = (tmp_path / "s" / "msd_curves.csv").read_bytes()
     b = (tmp_path / "w" / "msd_curves.csv").read_bytes()
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_are_rejected(workers, tmp_path, capsys):
+    config = ExperimentConfig(runs=1, iterations=10, steady_state_window=5)
+    with pytest.raises(ParameterError, match="workers"):
+        run_cell(Variant.LMS, 1, config, workers=workers)
+    with pytest.raises(ParameterError, match="workers"):
+        run_experiment(config, workers=workers)
+    rc = main(["--runs", "1", "--iterations", "10", "--sr", "1/16", "--algorithms", "lms",
+               "--workers", str(workers), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: workers must be >= 1")
+    assert not (tmp_path / "o" / "msd_curves.csv").exists()

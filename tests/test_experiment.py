@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sparselms import experiment
 from sparselms import (
     AlgorithmConfig,
     ConfigError,
@@ -93,18 +94,20 @@ def test_run_trial_is_bit_deterministic():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_trial_matches_stepwise_reference(variant):
-    # the fused kernel must agree with the one-sample step API
-    system, x, noise = trial_inputs(4)
+    # the batched engine must agree with the one-sample step API; the two
+    # differ only in the summation order of the regressor products
     cfg = default_schedule()[(variant, 4)]
-    trace = run_trial(system, x, noise, cfg, 200)
-    state = FilterState.zeros(16)
-    ref = np.empty(200)
-    for k in range(200):
-        xk = regressor_at(x[:200], k, 16)
-        d = float(np.dot(system, xk)) + noise[k]
-        state, _ = step(state, xk, d, cfg)
-        ref[k] = msd(system, state.weights)
-    np.testing.assert_allclose(trace, ref, rtol=1e-10, atol=1e-15)
+    for seed, n, rtol, atol in ((4, 200, 1e-10, 1e-15), (100, 400, 1e-12, 0.0)):
+        system, x, noise = trial_inputs(seed, length=n + 16)
+        trace = run_trial(system, x, noise, cfg, n)
+        state = FilterState.zeros(16)
+        ref = np.empty(n)
+        for k in range(n):
+            xk = regressor_at(x[:n], k, 16)
+            d = float(np.dot(system, xk)) + noise[k]
+            state, _ = step(state, xk, d, cfg)
+            ref[k] = msd(system, state.weights)
+        np.testing.assert_allclose(trace, ref, rtol=rtol, atol=atol)
 
 
 def test_run_trial_noiseless_lms_converges():
@@ -146,6 +149,24 @@ def test_run_cell_single_run_equals_trial():
     trace = run_trial(system, x, noise, config.schedule[(Variant.LMS, 4)], 200)
     np.testing.assert_array_equal(curve.values, trace)
     assert curve.runs == 1 and curve.sparsity_level == 4 and curve.n_taps == 16
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_run_cell_rows_equal_run_trial(variant):
+    # a run's trace must not depend on the other runs in its batch
+    config = small_config(runs=7)
+    cfg = config.schedule[(variant, 4)]
+    curve = run_cell(variant, 4, config)
+    acc = np.zeros(200)
+    for r in range(7):
+        stream = RngStream(config.master_seed, r)
+        system = gen_sparse_system(16, 4, stream)
+        x = gen_ar1_input(216, 0.8, 1e-3, stream)
+        noise = gen_gaussian_noise(216, 1e-2, stream)
+        trace = run_trial(system, x, noise, cfg, 200)
+        np.testing.assert_array_equal(curve.run_tails[r], trace[-50:])
+        acc += trace
+    np.testing.assert_array_equal(curve.values, acc / 7)
 
 
 def test_run_cell_frozen_filter_curve_is_nonzero_count():
@@ -202,6 +223,45 @@ def test_run_cell_divergence_names_run():
         run_cell(Variant.LMS, 4, config)
     assert exc.value.run == 0
     assert "run 0" in str(exc.value)
+
+
+def test_run_cell_reports_first_diverging_run_in_run_order(monkeypatch):
+    # row 0 converges; rows 1 and 2 diverge, row 2 earlier (larger input)
+    amplitude = {0: 0.1, 1: 10.0, 2: 100.0}
+    monkeypatch.setattr(experiment, "gen_sparse_system", lambda n, s, stream: np.ones(n))
+    monkeypatch.setattr(
+        experiment,
+        "gen_ar1_input",
+        lambda length, c, v, stream: np.full(length, amplitude[stream.stream_id]),
+    )
+    monkeypatch.setattr(
+        experiment, "gen_gaussian_noise", lambda length, v, stream: np.zeros(length)
+    )
+    cfg = AlgorithmConfig(Variant.LMS, mu=1.0)
+    config = small_config(
+        runs=3, n_taps=4, sparsity_levels=(4,), schedule={(Variant.LMS, 4): cfg}
+    )
+
+    def step_divergence(a):
+        x = np.full(200, a)
+        state = FilterState.zeros(4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(200):
+                xk = regressor_at(x, k, 4)
+                try:
+                    state, _ = step(state, xk, float(np.sum(xk)), cfg)
+                except DivergenceError as err:
+                    return err.iteration
+        return None
+
+    assert step_divergence(amplitude[0]) is None
+    k1, k2 = step_divergence(amplitude[1]), step_divergence(amplitude[2])
+    assert k1 is not None and k2 is not None and k2 < k1
+    with pytest.raises(DivergenceError) as exc:
+        run_cell(Variant.LMS, 4, config)
+    assert exc.value.run == 1
+    assert exc.value.iteration == k1
+    assert str(exc.value) == f"weights became non-finite at iteration {k1} (run 1)"
 
 
 def test_run_cell_aborts_on_runaway_but_finite_trace():
