@@ -1,18 +1,67 @@
+"""The run-batched numpy engine against a scalar reference loop.
+
+``scalar_trial`` is the plain-Python form of one trial (tap by tap, one
+scalar at a time).  It shares no code with ``experiment._run_batch`` or with
+``filter_core.step``, so agreement with it checks the engine's arithmetic,
+not just its consistency with itself.
+"""
+
+import math
+
 import numpy as np
 import pytest
 
-from sparselms import ConfigError, RngStream, Variant, default_schedule, run_trial
-from sparselms import _kernels
-from sparselms.experiment import _leak_mult
+from sparselms import RngStream, Variant, default_schedule
+from sparselms.experiment import _run_batch
 from sparselms.signal_gen import gen_ar1_input, gen_gaussian_noise, gen_sparse_system
 
-# Same test as _kernels uses to decide whether the numba backend exists.
-try:
-    import numba  # noqa: F401
 
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+def scalar_trial(system, x, noise, cfg, iterations):
+    """One trial from zero weights, scalar form; returns (trace, bad).
+
+    ``trace[k]`` is ``sum((system - w)**2)`` after update ``k``; ``bad`` is
+    the first iteration whose weights went non-finite, -1 if none.
+    """
+    n_taps = len(system)
+    xpad = [0.0] * (n_taps - 1) + [float(v) for v in x[:iterations]]
+    w = [0.0] * n_taps
+    shrink = cfg.variant in (Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS)
+    mu, leak_mult = cfg.mu, cfg.leak_mult
+    rho_pl, eps_pl, p = cfg.rho_pl, cfg.epsilon_pl, cfg.p
+    pm = 1.0 - p
+    trace = np.empty(iterations)
+    for k in range(iterations):
+        base = k + n_taps - 1
+        y = 0.0
+        d = float(noise[k])
+        for i in range(n_taps):
+            xi = xpad[base - i]
+            y += w[i] * xi
+            d += float(system[i]) * xi
+        mu_e = mu * (d - y)
+        dev = 0.0
+        ok = True
+        for i in range(n_taps):
+            wi = w[i]
+            nw = leak_mult * wi + mu_e * xpad[base - i]
+            if shrink:
+                if wi > 0.0:
+                    nw -= rho_pl * (p / (eps_pl + wi**pm))
+                elif wi < 0.0:
+                    nw += rho_pl * (p / (eps_pl + (-wi) ** pm))
+            w[i] = nw
+            diff = float(system[i]) - nw
+            dev += diff * diff
+            ok = ok and math.isfinite(nw)
+        trace[k] = dev
+        if not ok:
+            return trace, k
+    return trace, -1
+
+
+def numpy_trial(system, x, noise, cfg, iterations):
+    traces, bad = _run_batch(system[None], x[None], noise[None], cfg, iterations)
+    return traces[0], int(bad[0])
 
 
 def make_trial_inputs(seed, n_taps=16, iterations=400):
@@ -23,82 +72,26 @@ def make_trial_inputs(seed, n_taps=16, iterations=400):
     return system, x, noise
 
 
-def test_both_backends_available_here():
-    expected = ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-    assert _kernels.available_backends() == expected
-
-
 @pytest.mark.parametrize("variant", list(Variant))
 def test_backend_parity(variant):
-    # identical arithmetic up to dot-product summation order; the scalar
-    # _trial_loop, run uncompiled, is the reference for every backend
-    system, x, noise = make_trial_inputs(100)
+    # identical arithmetic up to the summation order of the regressor
+    # products; the middle row of a three-run batch is compared, so the
+    # batch neighbours must not leak into it
     cfg = default_schedule()[(variant, 4)]
-    xpad = np.concatenate([np.zeros(system.shape[0] - 1), x[:400]])
-    ref = np.empty(400)
-    bad = _kernels._trial_loop(
-        system, xpad, noise, 400, _kernels.VARIANT_CODES[variant.value],
-        cfg.mu, _leak_mult(cfg), cfg.rho_pl, cfg.epsilon_pl, cfg.p, ref,
-    )
-    assert bad == -1
-    b = run_trial(system, x, noise, cfg, 400, backend="numpy")
-    np.testing.assert_allclose(b, ref, rtol=1e-12, atol=0)
-    if HAVE_NUMBA:
-        a = run_trial(system, x, noise, cfg, 400, backend="numba")
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+    rows = [make_trial_inputs(seed) for seed in (99, 100, 102)]
+    systems, xs, noises = (np.stack(parts) for parts in zip(*rows))
+    traces, bad = _run_batch(systems, xs, noises, cfg, 400)
+    ref, ref_bad = scalar_trial(*rows[1], cfg, 400)
+    assert ref_bad == -1 and bad[1] == -1
+    np.testing.assert_allclose(traces[1], ref, rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize(
-    "backend",
-    [
-        pytest.param(
-            "numba", marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba is not installed")
-        ),
-        "numpy",
-    ],
-)
-def test_backend_is_bit_deterministic(backend):
+@pytest.mark.parametrize("trial", [numpy_trial, scalar_trial], ids=["numpy", "scalar"])
+def test_backend_is_bit_deterministic(trial):
     system, x, noise = make_trial_inputs(101)
     cfg = default_schedule()[(Variant.LP_LIKE_LLMS, 4)]
-    a = run_trial(system, x, noise, cfg, 400, backend=backend)
-    b = run_trial(system, x, noise, cfg, 400, backend=backend)
+    a, bad_a = trial(system, x, noise, cfg, 400)
+    b, bad_b = trial(system, x, noise, cfg, 400)
+    assert bad_a == bad_b == -1
     np.testing.assert_array_equal(a, b)
 
-
-def test_kernel_reports_divergence_iteration():
-    system = np.ones(4)
-    xpad = np.concatenate([np.zeros(3), np.full(50, 10.0)])
-    noise = np.zeros(50)
-    trace = np.empty(50)
-    loop = _kernels.get_trial_loop("numpy")
-    bad = loop(system, xpad, noise, 50, _kernels.LMS, 1e150, 1.0, 0.0, 10.0, 0.5, trace)
-    assert bad >= 0
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_VAR, "numpy")
-    assert _kernels.default_backend() == "numpy"
-    assert _kernels.get_trial_loop() is _kernels._numpy_trial_loop
-    monkeypatch.setenv(_kernels.ENV_VAR, "numba")
-    assert _kernels.default_backend() == "numba"
-    if not HAVE_NUMBA:
-        with pytest.raises(ConfigError, match="numba is not importable"):
-            _kernels.get_trial_loop()
-    monkeypatch.delenv(_kernels.ENV_VAR)
-    assert _kernels.default_backend() == ("numba" if HAVE_NUMBA else "numpy")
-
-
-def test_env_var_rejects_unknown_backend(monkeypatch):
-    monkeypatch.setenv(_kernels.ENV_VAR, "fortran")
-    with pytest.raises(ConfigError, match="SPARSELMS_BACKEND"):
-        _kernels.default_backend()
-
-
-def test_get_trial_loop_rejects_unknown_backend():
-    with pytest.raises(ConfigError, match="backend"):
-        _kernels.get_trial_loop("fortran")
-
-
-def test_variant_codes_cover_all_variants():
-    assert set(_kernels.VARIANT_CODES) == {v.value for v in Variant}
-    assert len(set(_kernels.VARIANT_CODES.values())) == len(Variant)
