@@ -4,7 +4,8 @@ The library implements four stochastic-gradient update rules (plain LMS,
 leaky LMS, and their shrinkage-constrained counterparts) plus everything
 needed to reproduce a sparse-system-identification study: seeded signal
 generators, a trial/cell runner whose batched engine reproduces every run
-bit for bit, and CSV/SVG emitters behind the ``sparselms`` command.
+bit for bit, a config-document parser and CSV/SVG emitters.  The
+``sparselms`` command (:mod:`sparselms.cli`) is not imported by the package.
 """
 
 from .errors import (
@@ -31,6 +32,7 @@ from .filter_core import (
 from .signal_gen import (
     RngStream,
     gen_ar1_input,
+    gen_cell_realizations,
     gen_gaussian_noise,
     gen_sparse_system,
     regressor_at,
@@ -46,7 +48,8 @@ from .experiment import (
     run_trial,
     steady_state,
 )
-from .cli import emit_csv, emit_plot, parse_config
+from .config import parse_config
+from .emit import emit_csv, emit_plot
 
 __version__ = "0.1.0"
 
@@ -67,6 +70,7 @@ __all__ = [
     "emit_csv",
     "emit_plot",
     "gen_ar1_input",
+    "gen_cell_realizations",
     "gen_gaussian_noise",
     "gen_sparse_system",
     "instantaneous_error",

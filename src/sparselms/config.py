@@ -1,0 +1,183 @@
+"""Config documents: parse ``key = value`` text into an :class:`ExperimentConfig`.
+
+Documents are flat ``key = value`` text with ``#`` comments; a
+``[variant.level]`` section header scopes hyperparameter keys to one
+schedule entry, e.g.::
+
+    runs = 200
+    master_seed = 1234
+
+    [lp_like_llms.16]
+    gamma = 0.0005
+    rho_pl = 0.0001
+
+Hyperparameter keys at global scope (``mu``, ``gamma``, ``rho_pl``,
+``epsilon_pl``, ``p``, ``leak_sign``) broadcast to every schedule entry of
+the variants they apply to.  A key may appear once per scope and a section
+once per document.
+"""
+
+import dataclasses
+
+from .errors import ConfigError
+from .experiment import ExperimentConfig, default_schedule
+from .filter_core import AlgorithmConfig, LeakSign, Variant
+
+__all__ = ["parse_config"]
+
+_INT_KEYS = {"n_taps", "iterations", "runs", "steady_state_window", "master_seed"}
+_FLOAT_KEYS = {"ar_coeff", "drive_variance", "noise_variance"}
+_HYPER_FLOAT = {"mu", "gamma", "rho_pl", "epsilon_pl", "p"}
+
+# Which variants a broadcast hyperparameter key applies to.
+_RELEVANT = {
+    "mu": frozenset(Variant),
+    "gamma": frozenset({Variant.LLMS, Variant.LP_LIKE_LLMS}),
+    "rho_pl": frozenset({Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS}),
+    "epsilon_pl": frozenset({Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS}),
+    "p": frozenset({Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS}),
+    "leak_sign": frozenset({Variant.LP_LIKE_LLMS}),
+}
+
+
+def _coerce_int(key, value, lineno):
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(
+            f"line {lineno}: key '{key}' expects an integer, got {value!r}"
+        ) from None
+
+
+def _coerce_float(key, value, lineno):
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(
+            f"line {lineno}: key '{key}' expects a number, got {value!r}"
+        ) from None
+
+
+def _coerce_leak_sign(value, lineno):
+    try:
+        return LeakSign(value)
+    except ValueError:
+        raise ConfigError(
+            f"line {lineno}: leak_sign must be 'plus' or 'minus', got {value!r}"
+        ) from None
+
+
+def _parse_document(text):
+    """Split a config document into global key-values and per-section ones.
+
+    A key repeated within one scope, or a repeated section, is an error.
+    """
+    global_kv = {}
+    sections = {}
+    header_lines = {}
+    current = global_kv
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            if not line.endswith("]"):
+                raise ConfigError(f"line {lineno}: malformed section header {raw.strip()!r}")
+            name = line[1:-1].strip()
+            variant_name, sep, level_txt = name.partition(".")
+            if not sep:
+                raise ConfigError(
+                    f"line {lineno}: section must look like [variant.level], got [{name}]"
+                )
+            try:
+                variant = Variant(variant_name.strip())
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: unknown algorithm {variant_name.strip()!r} in [{name}]"
+                ) from None
+            try:
+                level = int(level_txt.strip())
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: sparsity level in [{name}] must be an integer"
+                ) from None
+            if (variant, level) in header_lines:
+                raise ConfigError(
+                    f"line {lineno}: duplicate section [{variant.value}.{level}] "
+                    f"(first on line {header_lines[variant, level]})"
+                )
+            header_lines[variant, level] = lineno
+            current = sections[variant, level] = {}
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+        if key in current:
+            raise ConfigError(
+                f"line {lineno}: duplicate key '{key}' (first set on line {current[key][0]})"
+            )
+        current[key] = (lineno, value)
+    return global_kv, sections
+
+
+def parse_config(text):
+    """Parse a config document into a validated :class:`ExperimentConfig`.
+
+    Missing keys fall back to the default study (16 taps, 8000 iterations,
+    200 runs, the default parameter schedule).  Unknown keys and
+    out-of-range values raise with the offending key or constraint named.
+    """
+    global_kv, sections = _parse_document(text)
+    fields = {}
+    broadcast = {}
+    for key, (lineno, value) in global_kv.items():
+        if key == "sparsity_levels":
+            try:
+                fields[key] = tuple(int(tok.strip()) for tok in value.split(","))
+            except ValueError:
+                raise ConfigError(
+                    f"line {lineno}: key 'sparsity_levels' expects comma-separated "
+                    f"integers, got {value!r}"
+                ) from None
+        elif key in _INT_KEYS:
+            fields[key] = _coerce_int(key, value, lineno)
+        elif key in _FLOAT_KEYS:
+            fields[key] = _coerce_float(key, value, lineno)
+        elif key in _HYPER_FLOAT:
+            broadcast[key] = _coerce_float(key, value, lineno)
+        elif key == "leak_sign":
+            broadcast[key] = _coerce_leak_sign(value, lineno)
+        else:
+            raise ConfigError(f"line {lineno}: unknown config key '{key}'")
+
+    section_cfg = {}
+    for (variant, level), kv in sections.items():
+        entry = {}
+        for key, (lineno, value) in kv.items():
+            if key in _HYPER_FLOAT:
+                entry[key] = _coerce_float(key, value, lineno)
+            elif key == "leak_sign":
+                entry[key] = _coerce_leak_sign(value, lineno)
+            else:
+                raise ConfigError(
+                    f"line {lineno}: unknown schedule key '{key}' in [{variant.value}.{level}]"
+                )
+        section_cfg[(variant, level)] = entry
+
+    levels = fields.get("sparsity_levels", (1, 4, 8, 16))
+    needed = set(levels) | {lvl for (_, lvl) in section_cfg}
+    table = default_schedule()
+    schedule = {}
+    for variant in Variant:
+        for level in sorted(needed):
+            base = table.get((variant, level), AlgorithmConfig(variant))
+            overrides = {k: v for k, v in broadcast.items() if variant in _RELEVANT[k]}
+            overrides.update(section_cfg.get((variant, level), {}))
+            schedule[(variant, level)] = (
+                dataclasses.replace(base, **overrides) if overrides else base
+            )
+    return ExperimentConfig(schedule=schedule, **fields)

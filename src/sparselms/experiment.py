@@ -25,7 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, ParameterError
 from .filter_core import _SHRINKING, AlgorithmConfig, Variant
-from .signal_gen import RngStream, gen_ar1_input, gen_gaussian_noise, gen_sparse_system
+from .signal_gen import gen_cell_realizations
 
 __all__ = [
     "ExperimentConfig",
@@ -103,6 +103,10 @@ class ExperimentConfig:
             raise ParameterError(
                 "steady_state_window must satisfy 1 <= window <= iterations="
                 f"{self.iterations}, got {self.steady_state_window}"
+            )
+        if len(set(self.sparsity_levels)) != len(self.sparsity_levels):
+            raise ParameterError(
+                f"sparsity levels must not repeat, got {self.sparsity_levels}"
             )
         for s in self.sparsity_levels:
             if not 1 <= s <= self.n_taps:
@@ -262,14 +266,16 @@ def run_cell(variant, sparsity_level, config, workers=None):
     length = n + config.n_taps
     tail_w = min(config.steady_state_window, n)
 
-    systems = np.empty((config.runs, config.n_taps))
-    xs = np.empty((config.runs, length))
-    noises = np.empty((config.runs, length))
-    for r in range(config.runs):
-        stream = RngStream(config.master_seed, r)
-        systems[r] = gen_sparse_system(config.n_taps, sparsity_level, stream)
-        xs[r] = gen_ar1_input(length, config.ar_coeff, config.drive_variance, stream)
-        noises[r] = gen_gaussian_noise(length, config.noise_variance, stream)
+    systems, xs, noises = gen_cell_realizations(
+        config.master_seed,
+        config.runs,
+        config.n_taps,
+        sparsity_level,
+        length,
+        config.ar_coeff,
+        config.drive_variance,
+        config.noise_variance,
+    )
     traces, bad = _run_batch(systems, xs, noises, cfg, n)
 
     acc = np.zeros(n)

@@ -3,11 +3,12 @@
 Everything here is a deterministic function of its parameters and an
 :class:`RngStream`; a run's whole realization (sparse system, AR(1) input,
 observation noise) is replayed bit-exactly by rebuilding the stream from
-``(seed, stream_id)``.
+``(seed, stream_id)``.  :func:`gen_cell_realizations` builds a whole
+cell's realizations at once, row r equal to what the single-run generators
+draw from ``RngStream(seed, r)``.
 """
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ParameterError
 
@@ -16,6 +17,7 @@ __all__ = [
     "gen_sparse_system",
     "gen_ar1_input",
     "gen_gaussian_noise",
+    "gen_cell_realizations",
     "regressor_at",
 ]
 
@@ -69,14 +71,7 @@ def gen_sparse_system(n_taps, n_nonzero, rng):
     return w
 
 
-def gen_ar1_input(length, coeff, drive_variance, rng):
-    """First-order autoregressive input, rescaled to unit sample variance.
-
-    Generates ``x[0] = u[0]``, ``x[k] = coeff*x[k-1] + u[k]`` with white
-    Gaussian drive of the given variance, then divides the realization by
-    its sample standard deviation (denominator ``length``; the sample mean
-    is left in place).  The post-scaling sample variance is exactly 1.
-    """
+def _check_ar1(length, coeff, drive_variance):
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if not abs(coeff) < 1:
@@ -85,13 +80,40 @@ def gen_ar1_input(length, coeff, drive_variance, rng):
         )
     if not drive_variance > 0:
         raise ParameterError(f"drive_variance must be > 0, got {drive_variance}")
-    g = _gen(rng)
-    u = g.standard_normal(length) * np.sqrt(drive_variance)
-    x = lfilter([1.0], [1.0, -coeff], u)
-    v = np.var(x)
-    if v == 0.0:
+
+
+def _ar1_unit_variance(drives, coeff):
+    """AR(1)-filter each row of ``drives`` and rescale it to unit sample variance.
+
+    Each row becomes ``x[0] = u[0]``, ``x[k] = u[k] + coeff*x[k-1]``, divided
+    by its sample standard deviation (denominator: length).  The recursion runs time-major, one numpy step per sample over all rows;
+    each row's variance is then reduced over that row alone, so a row's
+    result does not depend on how many rows share the call.
+    """
+    x = np.ascontiguousarray(drives.T)  # (length, rows): one step is one contiguous row
+    prev = x[0]
+    for cur in x[1:]:
+        cur += coeff * prev
+        prev = cur
+    x = np.ascontiguousarray(x.T)
+    v = np.var(x, axis=1)
+    if (v == 0.0).any():
         raise ParameterError("cannot rescale a zero-variance realization to unit variance")
-    return x / np.sqrt(v)
+    x /= np.sqrt(v)[:, None]
+    return x
+
+
+def gen_ar1_input(length, coeff, drive_variance, rng):
+    """First-order autoregressive input, rescaled to unit sample variance.
+
+    Generates ``x[0] = u[0]``, ``x[k] = coeff*x[k-1] + u[k]`` with white
+    Gaussian drive of the given variance, then divides the realization by
+    its sample standard deviation (denominator ``length``; the sample mean
+    is left in place).  The post-scaling sample variance is exactly 1.
+    """
+    _check_ar1(length, coeff, drive_variance)
+    u = _gen(rng).standard_normal(length) * np.sqrt(drive_variance)
+    return _ar1_unit_variance(u[None], coeff)[0]
 
 
 def gen_gaussian_noise(length, variance, rng):
@@ -102,6 +124,33 @@ def gen_gaussian_noise(length, variance, rng):
         raise ParameterError(f"variance must be >= 0, got {variance}")
     g = _gen(rng)
     return g.standard_normal(length) * np.sqrt(variance)
+
+
+def gen_cell_realizations(
+    master_seed, runs, n_taps, n_nonzero, length, coeff, drive_variance, noise_variance
+):
+    """Every run's realization for one cell: ``(systems, xs, noises)``.
+
+    Row r is drawn from ``RngStream(master_seed, r)`` in the order the
+    single-run generators use (system, AR(1) drive, noise), so it equals
+    :func:`gen_sparse_system`, :func:`gen_ar1_input` and
+    :func:`gen_gaussian_noise` called in turn on that stream, bit for bit.
+    ``systems`` is (runs x n_taps); ``xs`` and ``noises`` are (runs x length).
+    All drives are filtered together.
+    """
+    if runs < 1:
+        raise ParameterError(f"runs must be >= 1, got {runs}")
+    _check_ar1(length, coeff, drive_variance)
+    systems = np.empty((runs, n_taps))
+    drives = np.empty((runs, length))
+    noises = np.empty((runs, length))
+    drive_scale = np.sqrt(drive_variance)
+    for r in range(runs):
+        stream = RngStream(master_seed, r)
+        systems[r] = gen_sparse_system(n_taps, n_nonzero, stream)
+        drives[r] = stream.generator.standard_normal(length) * drive_scale
+        noises[r] = gen_gaussian_noise(length, noise_variance, stream)
+    return systems, _ar1_unit_variance(drives, coeff), noises
 
 
 def regressor_at(x, k, n_taps):

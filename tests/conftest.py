@@ -1,5 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import sparselms
 
 
 @pytest.fixture
@@ -18,3 +23,11 @@ def fd_gradient():
         return g
 
     return _fd
+
+
+@pytest.fixture
+def package_env():
+    """Environment for a child Python that imports the sparselms under test."""
+    src = str(Path(sparselms.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}

@@ -1,7 +1,11 @@
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselms import (
     AlgorithmConfig,
@@ -123,6 +127,72 @@ def test_unknown_section_variant():
 def test_malformed_section_header():
     with pytest.raises(ConfigError, match="variant.level"):
         parse_config("[lms]\n")
+
+
+DUPLICATES = {
+    "global_key": ("runs = 2\nruns = 3\n",
+                   ConfigError, "line 2: duplicate key 'runs' (first set on line 1)"),
+    "section_key": ("[lms.1]\nmu = 0.01\n\nmu = 0.02\n",
+                    ConfigError, "line 4: duplicate key 'mu' (first set on line 2)"),
+    "section": ("[lms.1]\nmu = 0.01\n[llms.1]\ngamma = 0.001\n[lms.01]\n",
+                ConfigError, "line 5: duplicate section [lms.1] (first on line 1)"),
+    "sparsity_level": ("sparsity_levels = 1, 1, 4\n",
+                       ParameterError, "sparsity levels must not repeat, got (1, 1, 4)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATES))
+def test_duplicate_config_input_is_rejected(case, tmp_path, capsys):
+    text, error, message = DUPLICATES[case]
+    with pytest.raises(error) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+    conf = tmp_path / "study.conf"
+    conf.write_text(text)
+    rc = main(["--config", str(conf), "--runs", "1", "--iterations", "10",
+               "--algorithms", "lms", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o" / "msd_curves.csv").exists()
+
+
+KNOWN_KEYS = (
+    "n_taps", "iterations", "runs", "steady_state_window", "master_seed",
+    "ar_coeff", "drive_variance", "noise_variance", "sparsity_levels",
+    "mu", "gamma", "rho_pl", "epsilon_pl", "p", "leak_sign",
+)
+VALUES = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["plus", "minus", "nan", "-inf", "1e400", "1,4", "1, 1", "4/16", "0x10",
+                     "1_000", "", " ", "=", "[lms.1]", "#", "\u0661"]),
+    st.lists(st.integers(-3, 20), min_size=1, max_size=4).map(lambda v: ", ".join(map(str, v))),
+    st.text(max_size=12),
+)
+KEYS = st.one_of(st.sampled_from(KNOWN_KEYS), st.text(max_size=8))
+HEADERS = st.one_of(
+    st.builds(lambda v, lvl: f"[{v.value}.{lvl}]", st.sampled_from(list(Variant)),
+              st.integers(-2, 20)),
+    st.builds(lambda name: f"[{name}]", st.text(max_size=10)),
+    st.text(max_size=10).map(lambda t: "[" + t),
+)
+LINES = st.one_of(
+    st.builds(lambda k, v: f"{k} = {v}", KEYS, VALUES),
+    HEADERS,
+    st.text(max_size=20),
+    st.just("# comment"),
+    st.just(""),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LINES, max_size=12))
+def test_parse_config_raises_only_named_errors(lines):
+    try:
+        config = parse_config("\n".join(lines))
+    except (ConfigError, ParameterError):
+        return
+    assert isinstance(config, ExperimentConfig)
 
 
 def test_sparsity_levels_list():
@@ -372,3 +442,13 @@ def test_workers_below_one_are_rejected(workers, tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: workers must be >= 1")
     assert not (tmp_path / "o" / "msd_curves.csv").exists()
+
+
+def test_module_entry_point_runs_without_warnings(package_env):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sparselms.cli", "--help"],
+        env=package_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: sparselms")

@@ -228,15 +228,13 @@ def test_run_cell_divergence_names_run():
 def test_run_cell_reports_first_diverging_run_in_run_order(monkeypatch):
     # row 0 converges; rows 1 and 2 diverge, row 2 earlier (larger input)
     amplitude = {0: 0.1, 1: 10.0, 2: 100.0}
-    monkeypatch.setattr(experiment, "gen_sparse_system", lambda n, s, stream: np.ones(n))
-    monkeypatch.setattr(
-        experiment,
-        "gen_ar1_input",
-        lambda length, c, v, stream: np.full(length, amplitude[stream.stream_id]),
-    )
-    monkeypatch.setattr(
-        experiment, "gen_gaussian_noise", lambda length, v, stream: np.zeros(length)
-    )
+
+    def crafted_cell(master_seed, runs, n_taps, n_nonzero, length, *_signal_params):
+        systems = np.ones((runs, n_taps))
+        xs = np.array([np.full(length, amplitude[r]) for r in range(runs)])
+        return systems, xs, np.zeros((runs, length))
+
+    monkeypatch.setattr(experiment, "gen_cell_realizations", crafted_cell)
     cfg = AlgorithmConfig(Variant.LMS, mu=1.0)
     config = small_config(
         runs=3, n_taps=4, sparsity_levels=(4,), schedule={(Variant.LMS, 4): cfg}

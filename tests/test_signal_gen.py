@@ -1,3 +1,7 @@
+import hashlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from sparselms import (
     ParameterError,
     RngStream,
     gen_ar1_input,
+    gen_cell_realizations,
     gen_gaussian_noise,
     gen_sparse_system,
     regressor_at,
@@ -109,7 +114,7 @@ def test_ar1_recursion_matches_direct_form():
         ref[k] = 0.8 * ref[k - 1] + u[k]
     ref /= np.sqrt(np.var(ref))
     x = gen_ar1_input(200, 0.8, 1e-3, RngStream(8))
-    np.testing.assert_allclose(x, ref, rtol=1e-12)
+    np.testing.assert_array_equal(x, ref)
 
 
 def test_ar1_is_deterministic():
@@ -127,6 +132,94 @@ def test_ar1_validation():
         gen_ar1_input(100, 0.8, 0.0, RngStream(0))
     with pytest.raises(ParameterError):
         gen_ar1_input(0, 0.8, 1e-3, RngStream(0))
+
+
+# gen_ar1_input(8016, 0.8, 1e-3, RngStream(1234, 0)) as the earlier IIR-filter
+# implementation produced it (sha256 of its bytes and a sample of its values);
+# the numpy recursion must reproduce it bit for bit.
+AR1_1234_SHA256 = "43e2a5122583f2042c4adc61a24cde6fb1e4f154c2006a13ef724fa2bcfc037b"
+AR1_1234_VALUES = {
+    0: 0.2295353494666551,
+    1: 1.058716114060997,
+    501: 0.8908679970494696,
+    1002: -0.4829810169741961,
+    1503: -0.570550728167055,
+    2004: 0.04941107888597366,
+    2505: -1.779254817536485,
+    3006: 0.3123297514474569,
+    3507: 0.7453170373155457,
+    4008: -1.1711357892265155,
+    4509: -2.1055927022601466,
+    5010: 1.3469480306465844,
+    5511: -0.6572473682593032,
+    6012: -0.1554709088668992,
+    6513: 1.423478630992695,
+    7014: -0.6266366160008197,
+    7515: -1.5223180657149236,
+    8015: -1.1188945474615652,
+}
+
+
+def test_ar1_stored_values():
+    x = gen_ar1_input(8016, 0.8, 1e-3, RngStream(1234, 0))
+    assert x.shape == (8016,) and x.dtype == np.float64
+    for k, value in AR1_1234_VALUES.items():
+        assert x[k] == value, k
+    assert hashlib.sha256(x.tobytes()).hexdigest() == AR1_1234_SHA256
+
+
+# ------------------------------------------------------------ cell builder
+
+
+def test_cell_rows_equal_single_run_generators():
+    args = dict(n_taps=16, n_nonzero=4, length=1000, coeff=0.8)
+    systems, xs, noises = gen_cell_realizations(
+        77, 5, drive_variance=1e-3, noise_variance=1e-2, **args
+    )
+    assert systems.shape == (5, 16) and xs.shape == noises.shape == (5, 1000)
+    for r in range(5):
+        stream = RngStream(77, r)
+        system = gen_sparse_system(16, 4, stream)
+        x = gen_ar1_input(1000, 0.8, 1e-3, stream)
+        noise = gen_gaussian_noise(1000, 1e-2, stream)
+        assert systems[r].tobytes() == system.tobytes()
+        assert xs[r].tobytes() == x.tobytes()
+        assert noises[r].tobytes() == noise.tobytes()
+
+
+def test_cell_builder_validation():
+    good = dict(
+        master_seed=0, runs=2, n_taps=16, n_nonzero=4, length=100,
+        coeff=0.8, drive_variance=1e-3, noise_variance=1e-2,
+    )
+    for bad in (
+        dict(runs=0),
+        dict(n_nonzero=17),
+        dict(length=0),
+        dict(coeff=1.0),
+        dict(drive_variance=0.0),
+        dict(noise_variance=-1.0),
+        dict(master_seed=-1),
+    ):
+        with pytest.raises(ParameterError):
+            gen_cell_realizations(**{**good, **bad})
+
+
+IMPORTED_PACKAGES = """
+import sys
+before = set(sys.modules)
+import sparselms
+roots = {m.split(".")[0] for m in set(sys.modules) - before}
+print(",".join(sorted(roots - set(sys.stdlib_module_names))))
+"""
+
+
+def test_import_loads_no_third_party_package_but_numpy(package_env):
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORTED_PACKAGES],
+        env=package_env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "numpy,sparselms"
 
 
 # ------------------------------------------------------------------- noise
