@@ -22,9 +22,16 @@ class DivergenceError(ArithmeticError):
         Update index at which the divergence was detected.
     run : int or None
         Monte-Carlo run index, when raised from a multi-run harness.
+    variant : Variant or None
+        Update rule of the diverging cell, when raised from a multi-run harness.
+    level : int or None
+        Nonzero-tap count of the diverging cell, when raised from a
+        multi-run harness.
     """
 
-    def __init__(self, message, iteration=None, run=None):
+    def __init__(self, message, iteration=None, run=None, variant=None, level=None):
         super().__init__(message)
         self.iteration = iteration
         self.run = run
+        self.variant = variant
+        self.level = level

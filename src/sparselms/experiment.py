@@ -6,10 +6,14 @@ a fixed number of iterations, and records the squared weight deviation
 ``sum((w_true - w_est)**2)`` after every update.  Curves are these traces
 averaged pointwise over runs.
 
-All runs of a cell advance together through one engine, which updates a
-(runs x taps) weight array one iteration at a time.  Each run only ever
-reduces over its own taps, so its trace does not depend, bit for bit, on
-which other runs share the batch.
+The sparsity level is the unit of work.  A level's realizations and its
+desired signal ``noise[k] + system . x_k`` are built once and shared by
+every requested variant; each variant's runs then advance together through
+one engine, which updates a (runs x taps) weight array one iteration at a
+time.  Each run only ever reduces over its own taps, so its trace does not
+depend, bit for bit, on which other runs share the batch.  Every requested
+cell runs before an error is raised; the error is that of the first failing
+cell in variant-major order, the order in which curves are returned.
 
 Reproducibility contract: a cell's output is a pure function of
 (ExperimentConfig, variant, sparsity level).  Runs use per-run RNG streams
@@ -170,20 +174,43 @@ def msd(true_w, est_w):
     return float(np.dot(d, d))
 
 
-def _run_batch(systems, xs, noises, cfg, iterations):
-    """Adapt every run of a batch from zero weights, all runs together.
+# Iterations per block when the desired signal is formed: each block makes
+# a temporary (runs x block x taps) product, so small blocks keep the peak
+# memory of a long cell flat.
+_DESIRED_BLOCK = 32
+
+
+def _batch_signal(systems, xs, noises, iterations):
+    """Regressors and desired signal of a batch, as the engine reads them.
 
     Row r of ``systems`` (runs x taps), ``xs`` and ``noises`` (runs x at
     least ``iterations``) is one run's realization.  Returns the
+    (runs x iterations x taps) regressor windows ``x[k], x[k-1], ...`` (a
+    view: nothing of that size is materialised) and ``noises`` itself,
+    whose first ``iterations`` columns are overwritten in place with the
+    desired samples ``noise[k] + system . x_k``.
+    """
+    runs, n_taps = systems.shape
+    xpad = np.concatenate([np.zeros((runs, n_taps - 1)), xs[:, :iterations]], axis=1)
+    regressors = sliding_window_view(xpad, n_taps, axis=1)[..., ::-1]
+    # huge inputs overflow here; the engine reports that as divergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in range(0, iterations, _DESIRED_BLOCK):
+            hi = min(b + _DESIRED_BLOCK, iterations)
+            noises[:, b:hi] += (systems[:, None, :] * regressors[:, b:hi]).sum(axis=2)
+    return regressors, noises
+
+
+def _run_batch(systems, regressors, desired, cfg):
+    """Adapt every run of a batch from zero weights, all runs together.
+
+    ``regressors`` and ``desired`` come from :func:`_batch_signal`; row r
+    of each, with row r of ``systems``, is one run.  Returns the
     (runs x iterations) squared-deviation traces and, per run, the first
     iteration whose weights went non-finite (-1 if none); a diverged run's
     trace past that iteration is meaningless.
     """
-    runs, n_taps = systems.shape
-    xpad = np.concatenate([np.zeros((runs, n_taps - 1)), xs[:, :iterations]], axis=1)
-    # regressors[r, k] is run r's window x[k], x[k-1], ..., a view: nothing
-    # of size runs x iterations x taps is ever materialised
-    regressors = sliding_window_view(xpad, n_taps, axis=1)[..., ::-1]
+    runs, iterations, n_taps = regressors.shape
     mu, leak_mult = cfg.mu, cfg.leak_mult
     shrink = cfg.variant in _SHRINKING
     rho_pl, eps_pl, p = cfg.rho_pl, cfg.epsilon_pl, cfg.p
@@ -197,7 +224,7 @@ def _run_batch(systems, xs, noises, cfg, iterations):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(iterations):
             xk = regressors[:, k]
-            e = noises[:, k] + (systems * xk).sum(axis=1) - (w * xk).sum(axis=1)
+            e = desired[:, k] - (w * xk).sum(axis=1)
             new_w = leak_mult * w + (mu * e)[:, None] * xk
             if shrink:
                 g = rho_pl * (p / (eps_pl + np.abs(w) ** pm))
@@ -230,7 +257,8 @@ def run_trial(system, x, noise, cfg, iterations):
     """
     system = np.ascontiguousarray(system, dtype=float)
     x = np.ascontiguousarray(x, dtype=float)
-    noise = np.ascontiguousarray(noise, dtype=float)
+    # a copy: the desired signal is formed in it
+    noise = np.array(noise, dtype=float)
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     if x.shape[0] < iterations or noise.shape[0] < iterations:
@@ -238,7 +266,8 @@ def run_trial(system, x, noise, cfg, iterations):
             f"input and noise must provide at least {iterations} samples, "
             f"got {x.shape[0]} and {noise.shape[0]}"
         )
-    traces, bad = _run_batch(system[None], x[None], noise[None], cfg, iterations)
+    regressors, desired = _batch_signal(system[None], x[None], noise[None], iterations)
+    traces, bad = _run_batch(system[None], regressors, desired, cfg)
     if bad[0] >= 0:
         raise DivergenceError(
             f"weights became non-finite at iteration {bad[0]}", iteration=int(bad[0])
@@ -246,67 +275,119 @@ def run_trial(system, x, noise, cfg, iterations):
     return traces[0]
 
 
-def run_cell(variant, sparsity_level, config, workers=None):
-    """Average one (variant, sparsity) cell over ``config.runs`` runs.
-
-    Run r's realizations come from ``RngStream(master_seed, r)`` and depend
-    only on r, so every variant's cell sees the same systems, inputs, and
-    noise.  All runs advance together and traces are summed in run-index
-    order.  ``workers`` (None or >= 1) does not change the work or the
-    result.
-    """
-    _check_workers(workers)
-    key = (variant, sparsity_level)
+def _run_variant(config, variant, level, systems, regressors, desired):
+    """One cell on its level's shared signal: engine, checks, run-order mean."""
+    key = (variant, level)
     if key not in config.schedule:
         raise ConfigError(
-            f"schedule has no entry for ({variant.value}, {sparsity_level}/{config.n_taps})"
+            f"schedule has no entry for ({variant.value}, {level}/{config.n_taps})"
         )
-    cfg = config.schedule[key]
-    n = config.iterations
-    length = n + config.n_taps
-    tail_w = min(config.steady_state_window, n)
-
-    systems, xs, noises = gen_cell_realizations(
-        config.master_seed,
-        config.runs,
-        config.n_taps,
-        sparsity_level,
-        length,
-        config.ar_coeff,
-        config.drive_variance,
-        config.noise_variance,
-    )
-    traces, bad = _run_batch(systems, xs, noises, cfg, n)
-
-    acc = np.zeros(n)
+    traces, bad = _run_batch(systems, regressors, desired, config.schedule[key])
+    cell = f"{variant.value} {level}/{config.n_taps}"
+    acc = np.zeros(config.iterations)
     for r, trace in enumerate(traces):
         if bad[r] >= 0:
             raise DivergenceError(
-                f"weights became non-finite at iteration {bad[r]} (run {r})",
+                f"weights became non-finite at iteration {bad[r]} (run {r}, {cell})",
                 iteration=int(bad[r]),
                 run=r,
+                variant=variant,
+                level=level,
             )
         if trace.max() > _TRACE_ABORT:
             k = int(np.argmax(trace > _TRACE_ABORT))
             raise DivergenceError(
-                f"squared deviation exceeded {_TRACE_ABORT:g} at iteration {k} (run {r})",
+                f"squared deviation exceeded {_TRACE_ABORT:g} at iteration {k} (run {r}, {cell})",
                 iteration=k,
                 run=r,
+                variant=variant,
+                level=level,
             )
         acc += trace
     # a copy, so that the curve does not keep the whole trace array alive
-    tails = traces[:, -tail_w:].copy()
-    return MsdCurve(variant, sparsity_level, config.n_taps, acc / config.runs, config.runs, tails)
+    tails = traces[:, -min(config.steady_state_window, config.iterations):].copy()
+    return MsdCurve(variant, level, config.n_taps, acc / config.runs, config.runs, tails)
+
+
+def _run_level(config, variants, level):
+    """Run the requested variants at one sparsity level on shared realizations.
+
+    The level's realizations and desired signal are built once and every
+    variant's engine reads them.  Returns one outcome per variant, in
+    order: its :class:`MsdCurve`, or the ``ConfigError`` or
+    ``DivergenceError`` that cell raised, so that the caller decides which
+    error to report.
+    """
+    n = config.iterations
+    systems, xs, noises = gen_cell_realizations(
+        config.master_seed,
+        config.runs,
+        config.n_taps,
+        level,
+        n + config.n_taps,
+        config.ar_coeff,
+        config.drive_variance,
+        config.noise_variance,
+    )
+    regressors, desired = _batch_signal(systems, xs, noises, n)
+    outcomes = []
+    for variant in variants:
+        try:
+            outcomes.append(_run_variant(config, variant, level, systems, regressors, desired))
+        except (ConfigError, DivergenceError) as err:
+            # without its traceback, whose frames would keep the cell's
+            # (runs x iterations) traces alive until the error is raised
+            outcomes.append(err.with_traceback(None))
+    return outcomes
+
+
+def _raise_first_error(outcomes):
+    """Raise the first error among cell outcomes; else return the curves."""
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def run_cell(variant, sparsity_level, config, workers=None):
+    """Average one (variant, sparsity) cell over ``config.runs`` runs.
+
+    This is :func:`run_experiment` for a single cell.  Run r's realizations
+    come from ``RngStream(master_seed, r)`` and depend only on r, so every
+    variant's cell sees the same systems, inputs, and noise.  All runs
+    advance together and traces are summed in run-index order.
+    ``workers`` (None or >= 1) does not change the work or the result.
+
+    Raises
+    ------
+    ConfigError
+        If the schedule has no entry for the cell.
+    DivergenceError
+        At the first diverging run in run-index order, naming the run,
+        iteration, variant and level.
+    """
+    _check_workers(workers)
+    return _raise_first_error(_run_level(config, [variant], sparsity_level))[0]
 
 
 def run_experiment(config, variants=None, levels=None, workers=None):
-    """Run all requested cells; defaults to every variant at every level."""
+    """Run all requested cells; defaults to every variant at every level.
+
+    The sparsity level is the unit of work: each level's realizations and
+    desired signal are built once and shared by all requested variants,
+    and every cell runs before any error is raised.  Curves come back
+    variant-major (all levels of the first variant, then the next).  If
+    cells fail, the error raised is that of the first failing cell in the
+    same variant-major order, which is the cell :func:`run_cell` calls
+    made one by one in that order would have stopped at.
+    """
     _check_workers(workers)
-    if variants is None:
-        variants = list(Variant)
+    # a list: every level iterates it
+    variants = list(Variant) if variants is None else list(variants)
     if levels is None:
         levels = list(config.sparsity_levels)
-    return [run_cell(v, s, config, workers=workers) for v in variants for s in levels]
+    by_level = [_run_level(config, variants, s) for s in levels]
+    return _raise_first_error([outcome for row in zip(*by_level) for outcome in row])
 
 
 def steady_state(curve, window):

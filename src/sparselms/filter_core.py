@@ -218,6 +218,10 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
     return np.where(w == 0.0, 0.0, g)
 
 
+# Overflow on the way to non-finite weights is divergence, which the finite
+# check raises as DivergenceError; numpy's warnings for it are noise.  (As a
+# decorator, errstate costs about half of a ``with`` block per call.)
+@np.errstate(over="ignore", invalid="ignore")
 def _advance(state, x, desired, mu, leak_mult, shrink):
     """Shared step body: leak, gradient correction, optional shrinkage.
 
@@ -230,7 +234,9 @@ def _advance(state, x, desired, mu, leak_mult, shrink):
     new_w = leak_mult * w + (mu * e) * x
     if shrink is not None:
         rho_pl, p, epsilon_pl = shrink
-        new_w = new_w - rho_pl * pnorm_like_gradient_term(w, p, epsilon_pl)
+        # pnorm_like_gradient_term inline: epsilon_pl > 0 (AlgorithmConfig
+        # checks it), so sgn(0) = 0 already makes the w_i = 0 element 0
+        new_w = new_w - rho_pl * (p * np.sign(w) / (epsilon_pl + np.abs(w) ** (1 - p)))
     if not np.isfinite(new_w).all():
         raise DivergenceError(
             f"weights became non-finite at iteration {state.iteration}",

@@ -18,6 +18,7 @@ from sparselms import (
     Variant,
     default_schedule,
     gen_ar1_input,
+    gen_cell_realizations,
     gen_gaussian_noise,
     gen_sparse_system,
     msd,
@@ -259,7 +260,8 @@ def test_run_cell_reports_first_diverging_run_in_run_order(monkeypatch):
         run_cell(Variant.LMS, 4, config)
     assert exc.value.run == 1
     assert exc.value.iteration == k1
-    assert str(exc.value) == f"weights became non-finite at iteration {k1} (run 1)"
+    assert str(exc.value) == f"weights became non-finite at iteration {k1} (run 1, lms 4/4)"
+    assert exc.value.variant is Variant.LMS and exc.value.level == 4
 
 
 def test_run_cell_aborts_on_runaway_but_finite_trace():
@@ -280,6 +282,53 @@ def test_run_experiment_covers_requested_cells():
     assert [(c.variant, c.sparsity_level) for c in curves] == [
         (v, s) for v in Variant for s in (1, 4)
     ]
+
+
+@pytest.mark.parametrize(
+    "variants", [None, [Variant.LP_LIKE_LLMS, Variant.LMS]], ids=["all", "subset"]
+)
+def test_run_experiment_cells_equal_run_cell(variants):
+    # cells share their level's realizations and desired signal; each must
+    # still equal the cell run alone, bit for bit
+    config = small_config(runs=4, sparsity_levels=(1, 4))
+    curves = run_experiment(config, variants)
+    expected = [(v, s) for v in (variants or Variant) for s in (1, 4)]
+    assert [(c.variant, c.sparsity_level) for c in curves] == expected
+    for curve, (v, s) in zip(curves, expected):
+        alone = run_cell(v, s, config)
+        np.testing.assert_array_equal(curve.values, alone.values)
+        np.testing.assert_array_equal(curve.run_tails, alone.run_tails)
+
+
+def test_run_experiment_builds_each_level_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return gen_cell_realizations(*args)
+
+    monkeypatch.setattr(experiment, "gen_cell_realizations", counted)
+    config = small_config(runs=2, sparsity_levels=(1, 4, 8))
+    curves = run_experiment(config)
+    assert len(curves) == 12
+    assert calls == [1, 4, 8]
+
+
+def test_run_experiment_raises_first_diverging_cell_in_variant_major_order():
+    # (lms, 8) comes first variant-major; level by level, (llms, 1) runs first
+    sched = default_schedule()
+    sched[(Variant.LMS, 8)] = AlgorithmConfig(Variant.LMS, mu=1e200)
+    sched[(Variant.LLMS, 1)] = AlgorithmConfig(Variant.LLMS, mu=1e200, gamma=0.005)
+    config = small_config(runs=2, sparsity_levels=(1, 8), schedule=sched)
+    with pytest.raises(DivergenceError) as alone:
+        run_cell(Variant.LMS, 8, config)
+    with pytest.raises(DivergenceError) as exc:
+        run_experiment(config)
+    err, ref = exc.value, alone.value
+    assert (err.variant, err.level) == (ref.variant, ref.level) == (Variant.LMS, 8)
+    assert (err.run, err.iteration) == (ref.run, ref.iteration)
+    assert str(err) == str(ref)
+    assert str(err).endswith(f"(run {ref.run}, lms 8/16)")
 
 
 def test_noiseless_steady_state_is_much_lower_than_noisy():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,30 @@ def test_step_divergence_reports_iteration():
     with pytest.raises(DivergenceError) as exc:
         lms_step(state, np.array([1e8]), 1e300, cfg)
     assert exc.value.iteration == 7
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_divergence_raises_without_warnings(variant):
+    # overflow on the way to divergence must not escape as a RuntimeWarning
+    cfg = AlgorithmConfig(variant, mu=1e200, gamma=0.5, rho_pl=0.003)
+    x = np.full(4, 1e100)
+    state = FilterState.zeros(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as exc:
+            for _ in range(10):
+                state, _ = step(state, x, 1e100, cfg)
+    assert exc.value.iteration == state.iteration
+
+
+@pytest.mark.parametrize("variant", [Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS])
+def test_step_shrinkage_is_gradient_term(variant):
+    # with a zero regressor the update is the leak plus the shrinkage alone
+    cfg = AlgorithmConfig(variant, mu=0.015, gamma=0.0, rho_pl=0.003, epsilon_pl=0.5, p=0.3)
+    w = np.array([0.0, -0.0, 2.5, -0.75, 1e-300, -1e300])
+    out = step(FilterState(w), np.zeros(6), 0.0, cfg)[0]
+    expected = w - 0.003 * pnorm_like_gradient_term(w, 0.3, 0.5)
+    np.testing.assert_array_equal(out.weights, expected)
 
 
 # -------------------------------------------------------------- dispatch

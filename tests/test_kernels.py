@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sparselms import RngStream, Variant, default_schedule
-from sparselms.experiment import _run_batch
+from sparselms.experiment import _batch_signal, _run_batch
 from sparselms.signal_gen import gen_ar1_input, gen_gaussian_noise, gen_sparse_system
 
 
@@ -59,8 +59,14 @@ def scalar_trial(system, x, noise, cfg, iterations):
     return trace, -1
 
 
+def engine(systems, xs, noises, cfg, iterations):
+    # the desired signal is formed in place, so the caller's noise is copied
+    regressors, desired = _batch_signal(systems, xs, noises.copy(), iterations)
+    return _run_batch(systems, regressors, desired, cfg)
+
+
 def numpy_trial(system, x, noise, cfg, iterations):
-    traces, bad = _run_batch(system[None], x[None], noise[None], cfg, iterations)
+    traces, bad = engine(system[None], x[None], noise[None], cfg, iterations)
     return traces[0], int(bad[0])
 
 
@@ -80,7 +86,7 @@ def test_backend_parity(variant):
     cfg = default_schedule()[(variant, 4)]
     rows = [make_trial_inputs(seed) for seed in (99, 100, 102)]
     systems, xs, noises = (np.stack(parts) for parts in zip(*rows))
-    traces, bad = _run_batch(systems, xs, noises, cfg, 400)
+    traces, bad = engine(systems, xs, noises, cfg, 400)
     ref, ref_bad = scalar_trial(*rows[1], cfg, 400)
     assert ref_bad == -1 and bad[1] == -1
     np.testing.assert_allclose(traces[1], ref, rtol=1e-12, atol=0)
