@@ -30,15 +30,16 @@ def emit_csv(curves, out):
 
     Values carry 17 significant digits, so parsing them back recovers the
     doubles bit-exactly.  Rows are ordered by (algorithm, sparsity,
-    iteration); the newline is always ``\\n``.
+    iteration); the newline is always ``\\n``.  Each curve is written in one
+    pass: its rows form one ``%``-template, filled from ``values.tolist()``.
     """
     rows = sorted(curves, key=_curve_key)
     with open(out, "w", newline="") as fh:
         fh.write("algorithm,sr_numerator,sr_denominator,iteration,msd\n")
         for c in rows:
             prefix = f"{c.variant.value},{c.sparsity_level},{c.n_taps}"
-            for k, v in enumerate(c.values):
-                fh.write(f"{prefix},{k},{v:.17g}\n")
+            template = "".join([f"{prefix},{k},%.17g\n" for k in range(len(c.values))])
+            fh.write(template % tuple(c.values.tolist()))
     return out
 
 

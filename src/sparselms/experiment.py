@@ -6,14 +6,16 @@ a fixed number of iterations, and records the squared weight deviation
 ``sum((w_true - w_est)**2)`` after every update.  Curves are these traces
 averaged pointwise over runs.
 
-The sparsity level is the unit of work.  A level's realizations and its
-desired signal ``noise[k] + system . x_k`` are built once and shared by
-every requested variant; each variant's runs then advance together through
-one engine, which updates a (runs x taps) weight array one iteration at a
-time.  Each run only ever reduces over its own taps, so its trace does not
-depend, bit for bit, on which other runs share the batch.  Every requested
-cell runs before an error is raised; the error is that of the first failing
-cell in variant-major order, the order in which curves are returned.
+The sparsity level is the unit of work: its realizations and desired
+signal are built once and shared by every requested variant.  Every
+requested cell runs before an error is raised; the error is that of the
+first failing cell in variant-major order, the order of the curves.
+
+The engine advances a variant's runs together on (taps x runs) arrays, the
+input reversed in time so that each regressor ``x[k], x[k-1], ...`` is a
+contiguous block of rows.  Every sum over taps is a left fold in tap order,
+as in a scalar loop, so a run's trace is bit-identical in any batch.  Traces
+and the finite check come from the weights stored over ``_BLOCK`` iterations.
 
 Reproducibility contract: a cell's output is a pure function of
 (ExperimentConfig, variant, sparsity level).  Runs use per-run RNG streams
@@ -25,7 +27,6 @@ given run index (paired comparisons).
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, ParameterError
 from .filter_core import _SHRINKING, AlgorithmConfig, Variant
@@ -174,67 +175,80 @@ def msd(true_w, est_w):
     return float(np.dot(d, d))
 
 
-# Iterations per block when the desired signal is formed: each block makes
-# a temporary (runs x block x taps) product, so small blocks keep the peak
-# memory of a long cell flat.
-_DESIRED_BLOCK = 32
+# Iterations per block of stored weights; blocks of 8 and 16 raised a 200-run cell's peak RSS.
+_BLOCK = 4
+
+
+def _left_fold(a):
+    """Left fold over axis -2; numpy's ``sum(axis=-2)`` is one only when the last axis is > 1."""
+    if a.shape[-1] > 1:
+        return a.sum(axis=-2)
+    acc = a[..., 0, :].copy()
+    for i in range(1, a.shape[-2]):
+        acc += a[..., i, :]
+    return acc
 
 
 def _batch_signal(systems, xs, noises, iterations):
-    """Regressors and desired signal of a batch, as the engine reads them.
+    """The engine's ``(xr, systems.T, desired)`` from row-per-run realizations.
 
-    Row r of ``systems`` (runs x taps), ``xs`` and ``noises`` (runs x at
-    least ``iterations``) is one run's realization.  Returns the
-    (runs x iterations x taps) regressor windows ``x[k], x[k-1], ...`` (a
-    view: nothing of that size is materialised) and ``noises`` itself,
-    whose first ``iterations`` columns are overwritten in place with the
-    desired samples ``noise[k] + system . x_k``.
+    ``xr`` is the input reversed in time, then ``taps - 1`` zeros: iteration
+    k's regressor is its rows ``iterations-1-k`` onward.  ``desired[k]`` is
+    ``noise[k] + s_0*x[k] + s_1*x[k-1] + ...``, summed in that order.
     """
     runs, n_taps = systems.shape
-    xpad = np.concatenate([np.zeros((runs, n_taps - 1)), xs[:, :iterations]], axis=1)
-    regressors = sliding_window_view(xpad, n_taps, axis=1)[..., ::-1]
+    xr = np.zeros((iterations + n_taps - 1, runs))
+    xr[:iterations] = xs[:, iterations - 1 :: -1].T
+    sT = np.ascontiguousarray(systems.T)
+    desired = noises[:, :iterations].T.copy()
     # huge inputs overflow here; the engine reports that as divergence
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(0, iterations, _DESIRED_BLOCK):
-            hi = min(b + _DESIRED_BLOCK, iterations)
-            noises[:, b:hi] += (systems[:, None, :] * regressors[:, b:hi]).sum(axis=2)
-    return regressors, noises
+        for i in range(n_taps):
+            desired += sT[i] * xr[i : i + iterations][::-1]
+    return xr, sT, desired
 
 
-def _run_batch(systems, regressors, desired, cfg):
-    """Adapt every run of a batch from zero weights, all runs together.
+def _run_batch(xr, sT, desired, cfg):
+    """Adapt every run of a batch (a column of each argument) from zero weights.
 
-    ``regressors`` and ``desired`` come from :func:`_batch_signal`; row r
-    of each, with row r of ``systems``, is one run.  Returns the
-    (runs x iterations) squared-deviation traces and, per run, the first
-    iteration whose weights went non-finite (-1 if none); a diverged run's
-    trace past that iteration is meaningless.
+    Returns the (runs x iterations) squared-deviation traces and, per run,
+    the first iteration whose weights went non-finite (-1 if none); a
+    diverged run's trace past that iteration is meaningless.
     """
-    runs, iterations, n_taps = regressors.shape
-    mu, leak_mult = cfg.mu, cfg.leak_mult
-    shrink = cfg.variant in _SHRINKING
+    iterations, runs = desired.shape
+    n_taps = sT.shape[0]
+    mu, leak_mult, shrink = cfg.mu, cfg.leak_mult, cfg.variant in _SHRINKING
     rho_pl, eps_pl, p = cfg.rho_pl, cfg.epsilon_pl, cfg.p
-    pm = 1.0 - p
-    w = np.zeros((runs, n_taps))
+    hist = np.empty((_BLOCK, n_taps, runs))
+    w = np.zeros((n_taps, runs))
     traces = np.empty((runs, iterations))
     bad = np.full(runs, -1)
-    # Only elementwise products and row sums: a batched dot product could
-    # change a run's summation order with the batch size.  Overflow here is
-    # divergence, which the finite check reports by value.
+    # overflow is divergence, which the finite check reports by value
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iterations):
-            xk = regressors[:, k]
-            e = desired[:, k] - (w * xk).sum(axis=1)
-            new_w = leak_mult * w + (mu * e)[:, None] * xk
-            if shrink:
-                g = rho_pl * (p / (eps_pl + np.abs(w) ** pm))
-                new_w = new_w - np.sign(w) * g
-            w = new_w
-            diff = systems - w
-            traces[:, k] = (diff * diff).sum(axis=1)
-            finite = np.isfinite(w).all(axis=1)
-            if not finite.all():
-                bad[~finite & (bad < 0)] = k
+        for b in range(0, iterations, _BLOCK):
+            n = min(_BLOCK, iterations - b)
+            for j in range(n):
+                m = iterations - 1 - b - j
+                xk = xr[m : m + n_taps]
+                e = desired[b + j] - _left_fold(w * xk)
+                e *= mu
+                new_w = np.multiply(xk, e, hist[j])
+                new_w += w if leak_mult == 1.0 else leak_mult * w  # 1.0 * w is w, bit for bit
+                if shrink:  # rho_pl * (p * sign(w) / (eps_pl + |w|**(1-p)))
+                    s = p * np.sign(w)
+                    s /= eps_pl + np.abs(w) ** (1.0 - p)
+                    s *= rho_pl
+                    new_w -= s
+                w = new_w
+            diff = sT - hist[:n]
+            diff *= diff
+            tr = _left_fold(diff)
+            traces[:, b : b + n] = tr.T
+            # finite traces imply finite weights; else find each run's first bad iteration
+            if not np.isfinite(tr).all():
+                finite = np.isfinite(hist[:n]).all(axis=1)
+                first = ~finite.all(axis=0) & (bad < 0)
+                bad[first] = b + np.argmin(finite[:, first], axis=0)
     return traces, bad
 
 
@@ -257,8 +271,7 @@ def run_trial(system, x, noise, cfg, iterations):
     """
     system = np.ascontiguousarray(system, dtype=float)
     x = np.ascontiguousarray(x, dtype=float)
-    # a copy: the desired signal is formed in it
-    noise = np.array(noise, dtype=float)
+    noise = np.asarray(noise, dtype=float)
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     if x.shape[0] < iterations or noise.shape[0] < iterations:
@@ -266,8 +279,8 @@ def run_trial(system, x, noise, cfg, iterations):
             f"input and noise must provide at least {iterations} samples, "
             f"got {x.shape[0]} and {noise.shape[0]}"
         )
-    regressors, desired = _batch_signal(system[None], x[None], noise[None], iterations)
-    traces, bad = _run_batch(system[None], regressors, desired, cfg)
+    signal = _batch_signal(system[None], x[None], noise[None], iterations)
+    traces, bad = _run_batch(*signal, cfg)
     if bad[0] >= 0:
         raise DivergenceError(
             f"weights became non-finite at iteration {bad[0]}", iteration=int(bad[0])
@@ -275,38 +288,30 @@ def run_trial(system, x, noise, cfg, iterations):
     return traces[0]
 
 
-def _run_variant(config, variant, level, systems, regressors, desired):
+def _run_variant(config, variant, level, signal):
     """One cell on its level's shared signal: engine, checks, run-order mean."""
     key = (variant, level)
     if key not in config.schedule:
         raise ConfigError(
             f"schedule has no entry for ({variant.value}, {level}/{config.n_taps})"
         )
-    traces, bad = _run_batch(systems, regressors, desired, config.schedule[key])
-    cell = f"{variant.value} {level}/{config.n_taps}"
-    acc = np.zeros(config.iterations)
-    for r, trace in enumerate(traces):
+    traces, bad = _run_batch(*signal, config.schedule[key])
+    failed = (bad >= 0) | (traces.max(axis=1) > _TRACE_ABORT)
+    if failed.any():
+        r = int(np.argmax(failed))
         if bad[r] >= 0:
-            raise DivergenceError(
-                f"weights became non-finite at iteration {bad[r]} (run {r}, {cell})",
-                iteration=int(bad[r]),
-                run=r,
-                variant=variant,
-                level=level,
-            )
-        if trace.max() > _TRACE_ABORT:
-            k = int(np.argmax(trace > _TRACE_ABORT))
-            raise DivergenceError(
-                f"squared deviation exceeded {_TRACE_ABORT:g} at iteration {k} (run {r}, {cell})",
-                iteration=k,
-                run=r,
-                variant=variant,
-                level=level,
-            )
-        acc += trace
+            k, what = int(bad[r]), "weights became non-finite"
+        else:
+            k = int(np.argmax(traces[r] > _TRACE_ABORT))
+            what = f"squared deviation exceeded {_TRACE_ABORT:g}"
+        cell = f"run {r}, {variant.value} {level}/{config.n_taps}"
+        raise DivergenceError(
+            f"{what} at iteration {k} ({cell})", iteration=k, run=r, variant=variant, level=level
+        )
     # a copy, so that the curve does not keep the whole trace array alive
     tails = traces[:, -min(config.steady_state_window, config.iterations):].copy()
-    return MsdCurve(variant, level, config.n_taps, acc / config.runs, config.runs, tails)
+    mean = _left_fold(traces) / config.runs
+    return MsdCurve(variant, level, config.n_taps, mean, config.runs, tails)
 
 
 def _run_level(config, variants, level):
@@ -320,20 +325,15 @@ def _run_level(config, variants, level):
     """
     n = config.iterations
     systems, xs, noises = gen_cell_realizations(
-        config.master_seed,
-        config.runs,
-        config.n_taps,
-        level,
-        n + config.n_taps,
-        config.ar_coeff,
-        config.drive_variance,
-        config.noise_variance,
+        config.master_seed, config.runs, config.n_taps, level, n + config.n_taps,
+        config.ar_coeff, config.drive_variance, config.noise_variance,
     )
-    regressors, desired = _batch_signal(systems, xs, noises, n)
+    signal = _batch_signal(systems, xs, noises, n)
+    del systems, xs, noises  # the engine's time-major copies replace them
     outcomes = []
     for variant in variants:
         try:
-            outcomes.append(_run_variant(config, variant, level, systems, regressors, desired))
+            outcomes.append(_run_variant(config, variant, level, signal))
         except (ConfigError, DivergenceError) as err:
             # without its traceback, whose frames would keep the cell's
             # (runs x iterations) traces alive until the error is raised

@@ -236,6 +236,26 @@ def test_csv_round_trips_doubles_bit_exactly(tmp_path):
     np.testing.assert_array_equal(parsed, values)
 
 
+def test_csv_bytes_match_the_line_by_line_format(tmp_path):
+    # the one-pass writer must give the bytes of formatting each row alone
+    special = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]
+    seventeen = [0.1 + 0.2, 1.0 / 3.0, float(np.nextafter(1.0, 2.0)), 123456789.01234567]
+    random = np.random.default_rng(4).uniform(0.0, 1.0, 40) * 10.0 ** np.arange(-20, 20)
+    curves = [
+        make_curve(Variant.LMS, 1, special),
+        make_curve(Variant.LLMS, 4, seventeen),
+        make_curve(Variant.LP_LIKE_LMS, 8, random),
+        make_curve(Variant.LP_LIKE_LLMS, 16, [2.5]),
+    ]
+    out = tmp_path / "curves.csv"
+    emit_csv(curves, out)
+    expected = "algorithm,sr_numerator,sr_denominator,iteration,msd\n"
+    for c in curves:
+        for k, v in enumerate(c.values):
+            expected += f"{c.variant.value},{c.sparsity_level},{c.n_taps},{k},{v:.17g}\n"
+    assert out.read_bytes() == expected.encode()
+
+
 def test_csv_empty_curve_list(tmp_path):
     out = tmp_path / "curves.csv"
     emit_csv([], out)

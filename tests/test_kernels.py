@@ -3,17 +3,48 @@
 ``scalar_trial`` is the plain-Python form of one trial (tap by tap, one
 scalar at a time).  It shares no code with ``experiment._run_batch`` or with
 ``filter_core.step``, so agreement with it checks the engine's arithmetic,
-not just its consistency with itself.
+not just its consistency with itself.  The engine sums over taps in the
+same left-to-right order, so the two agree bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sparselms import RngStream, Variant, default_schedule
+from sparselms import (
+    AlgorithmConfig,
+    DivergenceError,
+    FilterState,
+    LeakSign,
+    RngStream,
+    Variant,
+    default_schedule,
+    step,
+)
 from sparselms.experiment import _batch_signal, _run_batch
-from sparselms.signal_gen import gen_ar1_input, gen_gaussian_noise, gen_sparse_system
+from sparselms.signal_gen import (
+    gen_ar1_input,
+    gen_cell_realizations,
+    gen_gaussian_noise,
+    gen_sparse_system,
+    regressor_at,
+)
+
+
+def array_pow(x, e):
+    """``x ** e`` for one float, rounded as numpy's array power rounds it.
+
+    numpy takes an array to the power 0.5 with a correctly rounded square
+    root, and to other powers with its own (possibly SIMD) loop; Python's
+    ``x ** e`` calls libm ``pow``, whose last bit differs from both on some
+    inputs.
+    """
+    if e == 0.5:
+        return math.sqrt(x)
+    return float((np.array([x]) ** e)[0])
 
 
 def scalar_trial(system, x, noise, cfg, iterations):
@@ -46,9 +77,9 @@ def scalar_trial(system, x, noise, cfg, iterations):
             nw = leak_mult * wi + mu_e * xpad[base - i]
             if shrink:
                 if wi > 0.0:
-                    nw -= rho_pl * (p / (eps_pl + wi**pm))
+                    nw -= rho_pl * (p / (eps_pl + array_pow(wi, pm)))
                 elif wi < 0.0:
-                    nw += rho_pl * (p / (eps_pl + (-wi) ** pm))
+                    nw += rho_pl * (p / (eps_pl + array_pow(-wi, pm)))
             w[i] = nw
             diff = float(system[i]) - nw
             dev += diff * diff
@@ -60,9 +91,7 @@ def scalar_trial(system, x, noise, cfg, iterations):
 
 
 def engine(systems, xs, noises, cfg, iterations):
-    # the desired signal is formed in place, so the caller's noise is copied
-    regressors, desired = _batch_signal(systems, xs, noises.copy(), iterations)
-    return _run_batch(systems, regressors, desired, cfg)
+    return _run_batch(*_batch_signal(systems, xs, noises, iterations), cfg)
 
 
 def numpy_trial(system, x, noise, cfg, iterations):
@@ -78,18 +107,26 @@ def make_trial_inputs(seed, n_taps=16, iterations=400):
     return system, x, noise
 
 
+def assert_rows_equal_scalar(traces, bad, rows, refs):
+    """Each engine row equals its scalar trial: divergence iteration and trace up to it."""
+    for r, (ref, ref_bad) in enumerate(refs):
+        assert bad[r] == ref_bad, f"row {rows[r]}"
+        stop = traces.shape[1] if ref_bad < 0 else ref_bad + 1
+        np.testing.assert_array_equal(traces[r, :stop], ref[:stop], err_msg=f"row {rows[r]}")
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_backend_parity(variant):
-    # identical arithmetic up to the summation order of the regressor
-    # products; the middle row of a three-run batch is compared, so the
-    # batch neighbours must not leak into it
+    # identical arithmetic, so every row at every batch width equals its
+    # scalar trial bit for bit: batch neighbours must not leak in
     cfg = default_schedule()[(variant, 4)]
-    rows = [make_trial_inputs(seed) for seed in (99, 100, 102)]
-    systems, xs, noises = (np.stack(parts) for parts in zip(*rows))
-    traces, bad = engine(systems, xs, noises, cfg, 400)
-    ref, ref_bad = scalar_trial(*rows[1], cfg, 400)
-    assert ref_bad == -1 and bad[1] == -1
-    np.testing.assert_allclose(traces[1], ref, rtol=1e-12, atol=0)
+    rows = [make_trial_inputs(seed) for seed in range(99, 116)]
+    refs = [scalar_trial(*row, cfg, 400) for row in rows]
+    assert all(ref_bad == -1 for _, ref_bad in refs)
+    for width in (1, 2, 5, 17):
+        systems, xs, noises = (np.stack(parts) for parts in zip(*rows[:width]))
+        traces, bad = engine(systems, xs, noises, cfg, 400)
+        assert_rows_equal_scalar(traces, bad, list(range(width)), refs[:width])
 
 
 @pytest.mark.parametrize("trial", [numpy_trial, scalar_trial], ids=["numpy", "scalar"])
@@ -101,3 +138,115 @@ def test_backend_is_bit_deterministic(trial):
     assert bad_a == bad_b == -1
     np.testing.assert_array_equal(a, b)
 
+
+@pytest.mark.parametrize("level", [1, 16])
+def test_protocol_rows_equal_scalar_over_all_iterations(level):
+    # rows 0 and 199 of the default study's cells at this level, over all
+    # 8000 iterations (a row's trace does not depend on its batch)
+    n = 8000
+    systems, xs, noises = gen_cell_realizations(1234, 200, 16, level, n + 16, 0.8, 1e-3, 1e-2)
+    rows = [0, 199]
+    for variant in Variant:
+        cfg = default_schedule()[(variant, level)]
+        traces, bad = engine(systems[rows], xs[rows], noises[rows], cfg, n)
+        refs = [scalar_trial(systems[r], xs[r], noises[r], cfg, n) for r in rows]
+        assert_rows_equal_scalar(traces, bad, rows, refs)
+
+
+def left_fold(a):
+    acc = a[0].copy()
+    for row in a[1:]:
+        acc += row
+    return acc
+
+
+@pytest.mark.parametrize("width", [2, 3, 5, 17, 200])
+def test_numpy_axis0_sum_is_a_left_fold(width):
+    # The engine's tap sums rely on numpy reducing a C-contiguous
+    # (taps x runs) array over axis 0 one row after another; if a numpy
+    # release changes that order, this fails instead of the CSV drifting.
+    rng = np.random.default_rng(width)
+    a = rng.standard_normal((16, width)) * 10.0 ** rng.uniform(-8, 8, (16, width))
+    assert not np.array_equal(left_fold(a), left_fold(a[::-1]))  # the data shows the order
+    np.testing.assert_array_equal(np.sum(a, axis=0), left_fold(a))
+    # the per-block traces fold a (block x taps x runs) array the same way
+    b = rng.standard_normal((8, 16, width)) * 10.0 ** rng.uniform(-8, 8, (8, 16, width))
+    np.testing.assert_array_equal(np.sum(b, axis=1), left_fold(b.transpose(1, 0, 2)))
+
+
+@pytest.mark.parametrize("variant", [Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS])
+def test_shrinkage_of_a_zero_weight_is_zero_even_if_its_size_overflows(variant):
+    # rho_pl * p / epsilon_pl overflows here; sign(0) = 0 must still win, as
+    # in step, instead of 0 * inf turning a zero weight into NaN
+    cfg = AlgorithmConfig(variant, mu=0.015, gamma=0.005, rho_pl=1.0, epsilon_pl=1e-310)
+    system, x, noise = make_trial_inputs(5, iterations=40)
+    trace, bad = numpy_trial(system, x, noise, cfg, 40)
+    ref, ref_bad = scalar_trial(system, x, noise, cfg, 40)
+    assert bad == ref_bad == -1
+    np.testing.assert_array_equal(trace, ref)
+
+
+def step_trial(system, x, noise, cfg, iterations):
+    """The trial as a loop of ``filter_core.step`` calls; returns (trace, bad)."""
+    n_taps = len(system)
+    state = FilterState.zeros(n_taps)
+    trace = np.empty(iterations)
+    # the deviation of huge but finite weights overflows, as in the engine
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(iterations):
+            xk = regressor_at(x[:iterations], k, n_taps)
+            try:
+                state, _ = step(state, xk, float(np.dot(system, xk)) + noise[k], cfg)
+            except DivergenceError as err:
+                return trace, err.iteration
+            trace[k] = float(np.sum((system - state.weights) ** 2))
+    return trace, -1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    # log-uniform step sizes, from negligible through the edge of stability
+    # (about 0.1 for 16 taps) to far past it, where about half the runs
+    # overflow part way through
+    log_mu=st.floats(-4.0, 8.0),
+    gamma=st.floats(0.0, 0.99),
+    # Smaller epsilon_pl or larger rho_pl make the shrinkage chatter about
+    # w = 0 with a slope that magnifies rounding differences (about 3x per
+    # iteration at epsilon_pl = rho_pl = 1/32), so a step loop, whose dot
+    # products round otherwise, would part from the engine whatever its
+    # accuracy; the default study uses epsilon_pl = 10, rho_pl <= 0.003.
+    rho_pl=st.floats(0.0, 0.01),
+    epsilon_pl=st.floats(2.0, 20.0),
+    p=st.one_of(st.just(0.5), st.floats(0.05, 0.95)),
+    leak_sign=st.sampled_from(list(LeakSign)),
+    seed=st.integers(0, 2**32 - 1),
+    n_taps=st.integers(1, 20),
+    iterations=st.integers(1, 120),
+    width=st.integers(1, 6),
+)
+def test_engine_matches_references(
+    variant, log_mu, gamma, rho_pl, epsilon_pl, p, leak_sign, seed, n_taps, iterations, width
+):
+    cfg = AlgorithmConfig(
+        variant,
+        mu=10.0**log_mu,
+        gamma=gamma,
+        rho_pl=rho_pl,
+        epsilon_pl=epsilon_pl,
+        p=p,
+        leak_sign=leak_sign,
+    )
+    level = 1 + seed % n_taps
+    systems, xs, noises = gen_cell_realizations(
+        seed, width, n_taps, level, iterations + n_taps, 0.8, 1e-3, 1e-2
+    )
+    traces, bad = engine(systems, xs, noises, cfg, iterations)
+    rows = list(range(width))
+    refs = [scalar_trial(systems[r], xs[r], noises[r], cfg, iterations) for r in rows]
+    assert_rows_equal_scalar(traces, bad, rows, refs)
+    for r in rows:
+        ref, ref_bad = step_trial(systems[r], xs[r], noises[r], cfg, iterations)
+        assert ref_bad == bad[r], f"row {r}"
+        stop = iterations if ref_bad < 0 else ref_bad
+        np.testing.assert_allclose(traces[r, :stop], ref[:stop], rtol=1e-10, atol=0)
