@@ -54,7 +54,8 @@ def emit_plot(curves, out, db_scale=False):
 
     Each subplot carries one polyline per algorithm (one vertex per
     iteration) plus ``data-ymin``/``data-ymax`` attributes recording the
-    plotted data range; a shared legend sits on top.
+    plotted data range; a shared legend sits on top.  A polyline's points
+    are one ``%``-template filled from ``.tolist()``.
     """
     curves = sorted(curves, key=_curve_key)
     if not curves:
@@ -103,14 +104,8 @@ def emit_plot(curves, out, db_scale=False):
         yspan = ymax - ymin
         nmax = max(a.shape[0] for a in ys)
         xspan = max(nmax - 1, 1)
-
-        def sx(k):
-            return x0 + (x1 - x0) * (k / xspan)
-
-        def sy(v):
-            if yspan == 0.0:
-                return (y0 + y1) / 2.0
-            return y1 - (y1 - y0) * ((v - ymin) / yspan)
+        # vertex coordinates in the per-vertex formula's operation order
+        sx = x0 + (x1 - x0) * (np.arange(nmax) / xspan)
 
         parts.append(
             f'<g class="subplot" data-sr="{level}/{den}" '
@@ -137,7 +132,10 @@ def emit_plot(curves, out, db_scale=False):
             f'transform="rotate(-90 {ox + 14} {ry})">{ylab}</text>'
         )
         for c, arr in zip(group, ys):
-            pts = " ".join(f"{sx(k):.2f},{sy(v):.2f}" for k, v in enumerate(arr))
+            xy = np.empty((arr.shape[0], 2))
+            xy[:, 0] = sx[: arr.shape[0]]
+            xy[:, 1] = (y0 + y1) / 2.0 if yspan == 0.0 else y1 - (y1 - y0) * ((arr - ymin) / yspan)
+            pts = " ".join(["%.2f,%.2f"] * arr.shape[0]) % tuple(xy.ravel().tolist())
             parts.append(
                 f'<polyline class="curve" data-algorithm="{c.variant.value}" fill="none" '
                 f'stroke="{_COLORS[c.variant.value]}" stroke-width="1" points="{pts}"/>'

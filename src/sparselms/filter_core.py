@@ -14,7 +14,9 @@ new one, never mutating their inputs.
 """
 
 import enum
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +113,9 @@ class AlgorithmConfig:
                     f"epsilon_pl must satisfy epsilon_pl > 0, got {self.epsilon_pl}"
                 )
 
-    @property
+    # Per-config constants of step(), computed on first use and cached on
+    # the instance; dataclasses.replace builds a new instance, so they follow.
+    @cached_property
     def leak_mult(self):
         """Weight multiplier of the leak.
 
@@ -125,6 +129,11 @@ class AlgorithmConfig:
         if self.variant is Variant.LP_LIKE_LLMS:
             return 1.0 + self.mu * self.gamma
         return 1.0
+
+    @cached_property
+    def _shrink(self):
+        """``(rho_pl, p, epsilon_pl)`` for the shrinkage variants, else None."""
+        return (self.rho_pl, self.p, self.epsilon_pl) if self.variant in _SHRINKING else None
 
 
 @dataclass(frozen=True)
@@ -218,33 +227,6 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
     return np.where(w == 0.0, 0.0, g)
 
 
-# Overflow on the way to non-finite weights is divergence, which the finite
-# check raises as DivergenceError; numpy's warnings for it are noise.  (As a
-# decorator, errstate costs about half of a ``with`` block per call.)
-@np.errstate(over="ignore", invalid="ignore")
-def _advance(state, x, desired, mu, leak_mult, shrink):
-    """Shared step body: leak, gradient correction, optional shrinkage.
-
-    Returns the new state and the pre-update error ``desired - w . x``.
-    """
-    x = np.asarray(x, dtype=float)
-    w = state.weights
-    _check_lengths(w, x)
-    e = instantaneous_error(desired, float(np.dot(w, x)))
-    new_w = leak_mult * w + (mu * e) * x
-    if shrink is not None:
-        rho_pl, p, epsilon_pl = shrink
-        # pnorm_like_gradient_term inline: epsilon_pl > 0 (AlgorithmConfig
-        # checks it), so sgn(0) = 0 already makes the w_i = 0 element 0
-        new_w = new_w - rho_pl * (p * np.sign(w) / (epsilon_pl + np.abs(w) ** (1 - p)))
-    if not np.isfinite(new_w).all():
-        raise DivergenceError(
-            f"weights became non-finite at iteration {state.iteration}",
-            iteration=state.iteration,
-        )
-    return FilterState(new_w, state.iteration + 1), e
-
-
 def lms_step(state, x, desired, cfg):
     """One plain LMS update: ``w' = w + mu*e*x``."""
     _check_variant(cfg, Variant.LMS)
@@ -273,8 +255,15 @@ def lp_like_llms_step(state, x, desired, cfg):
     return step(state, x, desired, cfg)[0]
 
 
+# Overflow on the way to non-finite weights is divergence, which the finite
+# check raises as DivergenceError; numpy's warnings for it are noise.  (As a
+# decorator, errstate costs about half of a ``with`` block per call.)
+@np.errstate(over="ignore", invalid="ignore")
 def step(state, x, desired, cfg):
     """Advance one sample with the configured rule.
+
+    Leak, gradient correction, then the optional shrinkage, in the engine's
+    order; a leak multiplier of 1 is skipped, as ``1.0 * w`` is ``w``.
 
     Returns
     -------
@@ -282,5 +271,24 @@ def step(state, x, desired, cfg):
         The new state and the pre-update error ``e = desired - w . x``,
         which is the same for every variant.
     """
-    shrink = (cfg.rho_pl, cfg.p, cfg.epsilon_pl) if cfg.variant in _SHRINKING else None
-    return _advance(state, x, desired, cfg.mu, cfg.leak_mult, shrink)
+    x = np.asarray(x, dtype=float)
+    w = state.weights
+    _check_lengths(w, x)
+    e = float(desired) - float(np.dot(w, x))
+    new_w = (cfg.mu * e) * x
+    leak_mult = cfg.leak_mult
+    new_w += w if leak_mult == 1.0 else leak_mult * w  # IEEE addition commutes
+    shrink = cfg._shrink
+    if shrink is not None:
+        rho_pl, p, epsilon_pl = shrink
+        # pnorm_like_gradient_term inline: epsilon_pl > 0 (AlgorithmConfig
+        # checks it), so sgn(0) = 0 already makes the w_i = 0 element 0
+        new_w -= rho_pl * (p * np.sign(w) / (epsilon_pl + np.abs(w) ** (1 - p)))
+    # a sum is finite only if every term is; finite weights can still
+    # overflow the sum, so only a non-finite sum needs the elementwise check
+    if not math.isfinite(np.add.reduce(new_w)) and not np.isfinite(new_w).all():
+        raise DivergenceError(
+            f"weights became non-finite at iteration {state.iteration}",
+            iteration=state.iteration,
+        )
+    return FilterState(new_w, state.iteration + 1), e

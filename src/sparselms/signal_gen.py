@@ -51,22 +51,30 @@ def _gen(rng):
     return getattr(rng, "generator", rng)
 
 
-def gen_sparse_system(n_taps, n_nonzero, rng):
-    """Random sparse impulse response: ``n_nonzero`` taps at +/-1, rest 0.
-
-    Positions are drawn uniformly without replacement; each nonzero value is
-    +1 or -1 with probability 1/2.
-    """
+def _check_system(n_taps, n_nonzero):
     if n_taps < 1:
         raise ParameterError(f"n_taps must be >= 1, got {n_taps}")
     if not 1 <= n_nonzero <= n_taps:
         raise ParameterError(
             f"n_nonzero must satisfy 1 <= n_nonzero <= n_taps={n_taps}, got {n_nonzero}"
         )
-    g = _gen(rng)
-    w = np.zeros(n_taps)
+
+
+def _draw_system(g, n_taps, n_nonzero):
+    """Nonzero positions and their signs (+/-1), in the order both are drawn."""
     pos = g.choice(n_taps, size=n_nonzero, replace=False)
-    signs = g.integers(0, 2, size=n_nonzero) * 2 - 1
+    return pos, g.integers(0, 2, size=n_nonzero) * 2 - 1
+
+
+def gen_sparse_system(n_taps, n_nonzero, rng):
+    """Random sparse impulse response: ``n_nonzero`` taps at +/-1, rest 0.
+
+    Positions are drawn uniformly without replacement; each nonzero value is
+    +1 or -1 with probability 1/2.
+    """
+    _check_system(n_taps, n_nonzero)
+    w = np.zeros(n_taps)
+    pos, signs = _draw_system(_gen(rng), n_taps, n_nonzero)
     w[pos] = signs
     return w
 
@@ -82,25 +90,34 @@ def _check_ar1(length, coeff, drive_variance):
         raise ParameterError(f"drive_variance must be > 0, got {drive_variance}")
 
 
+def _check_noise(length, variance):
+    if length < 1:
+        raise ParameterError(f"length must be >= 1, got {length}")
+    if not variance >= 0:
+        raise ParameterError(f"variance must be >= 0, got {variance}")
+
+
 def _ar1_unit_variance(drives, coeff):
-    """AR(1)-filter each row of ``drives`` and rescale it to unit sample variance.
+    """AR(1)-filter each row of ``drives`` in place and rescale it to unit sample variance.
 
     Each row becomes ``x[0] = u[0]``, ``x[k] = u[k] + coeff*x[k-1]``, divided
-    by its sample standard deviation (denominator: length).  The recursion runs time-major, one numpy step per sample over all rows;
-    each row's variance is then reduced over that row alone, so a row's
-    result does not depend on how many rows share the call.
+    by its sample standard deviation (denominator: length).  The recursion
+    runs time-major, one numpy step per sample over all rows, on a
+    transposed copy; each row's variance is then reduced over that row
+    alone, so a row's result does not depend on how many rows share the
+    call.  Returns ``drives``.
     """
     x = np.ascontiguousarray(drives.T)  # (length, rows): one step is one contiguous row
     prev = x[0]
     for cur in x[1:]:
         cur += coeff * prev
         prev = cur
-    x = np.ascontiguousarray(x.T)
-    v = np.var(x, axis=1)
+    drives[...] = x.T
+    v = np.var(drives, axis=1)
     if (v == 0.0).any():
         raise ParameterError("cannot rescale a zero-variance realization to unit variance")
-    x /= np.sqrt(v)[:, None]
-    return x
+    drives /= np.sqrt(v)[:, None]
+    return drives
 
 
 def gen_ar1_input(length, coeff, drive_variance, rng):
@@ -118,12 +135,8 @@ def gen_ar1_input(length, coeff, drive_variance, rng):
 
 def gen_gaussian_noise(length, variance, rng):
     """I.i.d. zero-mean Gaussian samples of the given variance."""
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
-    if not variance >= 0:
-        raise ParameterError(f"variance must be >= 0, got {variance}")
-    g = _gen(rng)
-    return g.standard_normal(length) * np.sqrt(variance)
+    _check_noise(length, variance)
+    return _gen(rng).standard_normal(length) * np.sqrt(variance)
 
 
 def gen_cell_realizations(
@@ -135,21 +148,29 @@ def gen_cell_realizations(
     single-run generators use (system, AR(1) drive, noise), so it equals
     :func:`gen_sparse_system`, :func:`gen_ar1_input` and
     :func:`gen_gaussian_noise` called in turn on that stream, bit for bit.
-    ``systems`` is (runs x n_taps); ``xs`` and ``noises`` are (runs x length).
+    ``systems`` is (runs x n_taps); ``xs`` and ``noises`` are (runs x length),
+    the two halves of one (runs x 2*length) buffer.  A run's drive and
+    noise come from one draw of ``2*length`` normals, which equals two
+    draws of ``length`` (the sampler consumes its stream sequentially).
     All drives are filtered together.
     """
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
+    _check_system(n_taps, n_nonzero)
     _check_ar1(length, coeff, drive_variance)
-    systems = np.empty((runs, n_taps))
-    drives = np.empty((runs, length))
-    noises = np.empty((runs, length))
-    drive_scale = np.sqrt(drive_variance)
+    _check_noise(length, noise_variance)
+    positions = np.empty((runs, n_nonzero), dtype=np.intp)
+    signs = np.empty((runs, n_nonzero))
+    z = np.empty((runs, 2 * length))
     for r in range(runs):
-        stream = RngStream(master_seed, r)
-        systems[r] = gen_sparse_system(n_taps, n_nonzero, stream)
-        drives[r] = stream.generator.standard_normal(length) * drive_scale
-        noises[r] = gen_gaussian_noise(length, noise_variance, stream)
+        g = RngStream(master_seed, r).generator
+        positions[r], signs[r] = _draw_system(g, n_taps, n_nonzero)
+        g.standard_normal(out=z[r])
+    systems = np.zeros((runs, n_taps))
+    systems[np.arange(runs)[:, None], positions] = signs
+    drives, noises = z[:, :length], z[:, length:]
+    drives *= np.sqrt(drive_variance)
+    noises *= np.sqrt(noise_variance)
     return systems, _ar1_unit_variance(drives, coeff), noises
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -332,6 +333,62 @@ def test_plot_linear_data_range(tmp_path):
     (g,) = subplots(out)
     assert float(g.get("data-ymin")) == 0.25
     assert float(g.get("data-ymax")) == 1.0
+
+
+def plot_test_curves():
+    rng = np.random.default_rng(8)
+    # MSD values are >= 0 and vertices lie inside the plot box, so no
+    # coordinate can print as -0.00; near-zero values are the closest case
+    tiny = [4e-3, 1e-3, 5e-3, 0.0, 4e-3, 2.5e-3, 5.000000001e-3]
+    return [
+        make_curve(Variant.LMS, 1, np.full(30, 0.25)),  # flat subplot: yspan == 0
+        make_curve(Variant.LLMS, 1, np.full(12, 0.25)),
+        make_curve(Variant.LMS, 4, [0.0, 1e-320, 1.0, 0.5, 0.0]),  # dB floor
+        make_curve(Variant.LP_LIKE_LMS, 4, rng.uniform(0.0, 1.0, 9)),
+        make_curve(Variant.LMS, 8, tiny),
+        make_curve(Variant.LP_LIKE_LLMS, 8, [0.7]),
+        make_curve(Variant.LLMS, 16, rng.lognormal(-3.0, 2.0, 500)),
+        make_curve(Variant.LP_LIKE_LLMS, 16, rng.lognormal(-3.0, 2.0, 377)),
+    ]
+
+
+# sha256 of emit_plot's file for plot_test_curves(), taken when every vertex
+# was formatted alone
+PLOT_SHA256 = {
+    False: "da19ebb555da9c46c5ed34809309c76bc77ec60894875a82331d23a8e6036515",
+    True: "d59464257700d6d142ae0425d960d753d8d0fc8fb25725e9abc9c7be0f36982d",
+}
+
+
+@pytest.mark.parametrize("db_scale", [False, True])
+def test_plot_points_match_the_per_vertex_format(db_scale, tmp_path):
+    # the one-pass polyline writer must give the bytes of formatting each vertex alone
+    curves = plot_test_curves()
+    out = tmp_path / "curves.svg"
+    emit_plot(curves, out, db_scale=db_scale)
+    groups = subplots(out)
+    assert len(groups) == 4
+    for g in groups:
+        level = int(g.get("data-sr").split("/")[0])
+        group = [c for c in curves if c.sparsity_level == level]
+        rect = g.find(f"{SVG_NS}rect")
+        x0, y0 = int(rect.get("x")), int(rect.get("y"))
+        x1, y1 = x0 + int(rect.get("width")), y0 + int(rect.get("height"))
+        ymin, ymax = float(g.get("data-ymin")), float(g.get("data-ymax"))
+        yspan = ymax - ymin
+        xspan = max(max(len(c.values) for c in group) - 1, 1)
+        lines = {pl.get("data-algorithm"): pl.get("points") for pl in g.iter(f"{SVG_NS}polyline")}
+        for c in group:
+            ys = c.values
+            if db_scale:
+                ys = 10.0 * np.log10(np.maximum(ys, 1e-300))
+            expected = []
+            for k, v in enumerate(ys):
+                sx = x0 + (x1 - x0) * (k / xspan)
+                sy = (y0 + y1) / 2.0 if yspan == 0.0 else y1 - (y1 - y0) * ((v - ymin) / yspan)
+                expected.append(f"{sx:.2f},{sy:.2f}")
+            assert lines[c.variant.value] == " ".join(expected)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT_SHA256[db_scale]
 
 
 def test_plot_requires_curves(tmp_path):

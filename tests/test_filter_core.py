@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -248,6 +250,69 @@ def test_step_error_is_variant_independent(variant):
     assert err == 3.0
 
 
+# sha256 of the weights after every step, then the errors, of a 2000-step
+# loop from zero weights; taken when step() still multiplied by an identity
+# leak and checked every weight for finiteness, so any change to its
+# arithmetic shows here bit for bit
+LOOP_SHA256 = {
+    (Variant.LMS, None): (
+        "b7eda8f28b244f209c9ab448e1a3c0af4caae5898e07f5003a0f97de5726c772"
+    ),
+    (Variant.LLMS, None): (
+        "8e981afbe2d4de2cae02d67ddad866d6c9f9ad6942c01d3c21d72790bd48739d"
+    ),
+    (Variant.LP_LIKE_LMS, None): (
+        "4fe991d62f53e7d39cc34600b10c40697b1ebcba8937b5cd77e08b109e444a22"
+    ),
+    (Variant.LP_LIKE_LLMS, None): (
+        "f219ebe554e78c684f0d345b6b55e11483f4e8494588ae97b03446319d1d37ef"
+    ),
+    (Variant.LP_LIKE_LLMS, LeakSign.MINUS): (
+        "9e51fc070bba4da40b5ce4d3639de92035ead87c95644eb72ed50a57e39f9346"
+    ),
+}
+
+
+def loop_sha256(variant, leak_sign, steps=2000, n_taps=16):
+    rng = np.random.default_rng(2015)
+    system = np.zeros(n_taps)
+    system[[2, 9]] = (1.0, -1.0)
+    x = np.zeros(steps + n_taps - 1)
+    for k, u in enumerate(rng.standard_normal(steps), start=n_taps - 1):
+        x[k] = 0.8 * x[k - 1] + u
+    regressors = np.lib.stride_tricks.sliding_window_view(x, n_taps)[:, ::-1]
+    desired = regressors @ system + 0.1 * rng.standard_normal(steps)
+    cfg = AlgorithmConfig(
+        variant, mu=0.02, gamma=0.01, rho_pl=0.002, epsilon_pl=0.5, p=0.3, leak_sign=leak_sign
+    )
+    state = FilterState.zeros(n_taps)
+    h = hashlib.sha256()
+    errors = []
+    for x_k, d in zip(regressors, desired):
+        state, e = step(state, x_k, d, cfg)
+        h.update(state.weights.tobytes())
+        errors.append(e)
+    h.update(np.array(errors).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(LOOP_SHA256), ids=lambda c: f"{c[0].value}-{c[1]}")
+def test_step_loop_bits_are_stored(case):
+    assert loop_sha256(*case) == LOOP_SHA256[case]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_finite_weights_whose_sum_overflows_do_not_diverge(variant):
+    # the summed finite check overflows to inf here; the weights are finite
+    cfg = AlgorithmConfig(variant, mu=0.0, gamma=0.5, rho_pl=0.0)
+    w = np.array([1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new_state, e = step(FilterState(w), np.zeros(2), 0.0, cfg)
+    np.testing.assert_array_equal(new_state.weights, w)
+    assert e == 0.0 and new_state.iteration == 1
+
+
 def test_step_is_deterministic():
     rng = np.random.default_rng(9)
     cfg = random_cfg(Variant.LP_LIKE_LLMS, rng)
@@ -406,6 +471,21 @@ def test_leak_sign_defaults():
     assert AlgorithmConfig(Variant.LMS).leak_sign is LeakSign.MINUS
     explicit = AlgorithmConfig(Variant.LP_LIKE_LLMS, gamma=0.1, leak_sign=LeakSign.MINUS)
     assert explicit.leak_sign is LeakSign.MINUS
+
+
+def test_replace_recomputes_the_per_config_constants():
+    cfg = AlgorithmConfig(Variant.LLMS, mu=0.1, gamma=0.2)
+    assert cfg.leak_mult == 1.0 - 0.1 * 0.2
+    assert dataclasses.replace(cfg, gamma=0.5).leak_mult == 1.0 - 0.1 * 0.5
+    assert dataclasses.replace(cfg, mu=0.3).leak_mult == 1.0 - 0.3 * 0.2
+    plus = AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.1, gamma=0.2, rho_pl=0.01)
+    assert plus.leak_mult == 1.0 + 0.1 * 0.2
+    assert dataclasses.replace(plus, leak_sign=LeakSign.MINUS).leak_mult == 1.0 - 0.1 * 0.2
+    # a replaced shrinkage weight reaches step(): zero regressor, zero leak
+    w = np.array([0.5, -2.0])
+    stronger = dataclasses.replace(plus, gamma=0.0, rho_pl=0.05)
+    out = step(FilterState(w), np.zeros(2), 0.0, stronger)[0]
+    np.testing.assert_array_equal(out.weights, w - 0.05 * pnorm_like_gradient_term(w, 0.5, 10.0))
 
 
 def test_filter_state_zeros_validation():

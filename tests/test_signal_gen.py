@@ -171,20 +171,41 @@ def test_ar1_stored_values():
 # ------------------------------------------------------------ cell builder
 
 
+# sha256 of (systems, xs, noises) for one protocol cell (seed 1234, 200 runs,
+# 16 taps, 150 iterations + 16 samples), taken when the builder still drew
+# through the single-run generators
+PROTOCOL_CELL_SHA256 = {
+    1: "20b07751156b900ad397f08d71d17a54d1ef50787cccba5ec5dc82cda14a563c",
+    16: "252266ed8aed1af4660a70a8b50af50dd2f7c877abec94bbec23e732cdf19010",
+}
+
+
 def test_cell_rows_equal_single_run_generators():
-    args = dict(n_taps=16, n_nonzero=4, length=1000, coeff=0.8)
-    systems, xs, noises = gen_cell_realizations(
-        77, 5, drive_variance=1e-3, noise_variance=1e-2, **args
-    )
-    assert systems.shape == (5, 16) and xs.shape == noises.shape == (5, 1000)
-    for r in range(5):
-        stream = RngStream(77, r)
-        system = gen_sparse_system(16, 4, stream)
-        x = gen_ar1_input(1000, 0.8, 1e-3, stream)
-        noise = gen_gaussian_noise(1000, 1e-2, stream)
-        assert systems[r].tobytes() == system.tobytes()
-        assert xs[r].tobytes() == x.tobytes()
-        assert noises[r].tobytes() == noise.tobytes()
+    # (runs, nonzero taps, length): the protocol's cell at levels 1 and 16,
+    # and the full study's length
+    for runs, level, length in [(5, 4, 1000), (200, 1, 166), (200, 16, 166), (3, 8, 8016)]:
+        systems, xs, noises = gen_cell_realizations(
+            77, runs, 16, level, length, coeff=0.8, drive_variance=1e-3, noise_variance=1e-2
+        )
+        assert systems.shape == (runs, 16) and xs.shape == noises.shape == (runs, length)
+        for r in range(runs):
+            stream = RngStream(77, r)
+            system = gen_sparse_system(16, level, stream)
+            x = gen_ar1_input(length, 0.8, 1e-3, stream)
+            noise = gen_gaussian_noise(length, 1e-2, stream)
+            assert systems[r].tobytes() == system.tobytes()
+            assert xs[r].tobytes() == x.tobytes()
+            assert noises[r].tobytes() == noise.tobytes()
+
+
+@pytest.mark.parametrize("level", sorted(PROTOCOL_CELL_SHA256))
+def test_protocol_cell_bits_are_stored(level):
+    h = hashlib.sha256()
+    for a in gen_cell_realizations(
+        1234, 200, 16, level, 166, coeff=0.8, drive_variance=1e-3, noise_variance=1e-2
+    ):
+        h.update(a.tobytes())
+    assert h.hexdigest() == PROTOCOL_CELL_SHA256[level]
 
 
 def test_cell_builder_validation():
