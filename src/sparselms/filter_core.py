@@ -144,7 +144,12 @@ class FilterState:
     iteration: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.ndim != 1 or weights.size < 1:
+            raise ParameterError(
+                f"weights must be 1-d with at least one tap, got shape {weights.shape}"
+            )
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def zeros(cls, n_taps):
@@ -153,12 +158,24 @@ class FilterState:
             raise ParameterError(f"n_taps must be >= 1, got {n_taps}")
         return cls(np.zeros(int(n_taps)), 0)
 
+    @classmethod
+    def _next(cls, weights, iteration):
+        """step()'s result, built without ``__post_init__``: ``weights`` is a
+        fresh 1-d float64 array that step() made."""
+        state = object.__new__(cls)
+        fields = state.__dict__
+        fields["weights"] = weights
+        fields["iteration"] = iteration
+        return state
+
 
 def _check_lengths(w, x):
     if w.shape != x.shape:
-        raise DimensionMismatchError(
-            f"weights have length {w.shape[0]} but regressor has length {x.shape[0]}"
-        )
+        if x.ndim == 1:
+            message = f"weights have length {w.shape[0]} but regressor has length {x.shape[0]}"
+        else:
+            message = f"weights have shape {w.shape} but regressor has shape {x.shape}"
+        raise DimensionMismatchError(message)
 
 
 def _check_variant(cfg, expected):
@@ -273,8 +290,9 @@ def step(state, x, desired, cfg):
     """
     x = np.asarray(x, dtype=float)
     w = state.weights
-    _check_lengths(w, x)
-    e = float(desired) - float(np.dot(w, x))
+    if w.shape != x.shape:
+        _check_lengths(w, x)
+    e = float(desired) - float(w.dot(x))
     new_w = (cfg.mu * e) * x
     leak_mult = cfg.leak_mult
     new_w += w if leak_mult == 1.0 else leak_mult * w  # IEEE addition commutes
@@ -284,11 +302,12 @@ def step(state, x, desired, cfg):
         # pnorm_like_gradient_term inline: epsilon_pl > 0 (AlgorithmConfig
         # checks it), so sgn(0) = 0 already makes the w_i = 0 element 0
         new_w -= rho_pl * (p * np.sign(w) / (epsilon_pl + np.abs(w) ** (1 - p)))
-    # a sum is finite only if every term is; finite weights can still
-    # overflow the sum, so only a non-finite sum needs the elementwise check
-    if not math.isfinite(np.add.reduce(new_w)) and not np.isfinite(new_w).all():
+    # a sum is finite only if every term is, in any summation order; finite
+    # weights can still overflow the sum, so only a non-finite sum needs the
+    # elementwise check.  Summing Python floats is cheaper than a numpy reduce.
+    if not math.isfinite(sum(new_w.tolist())) and not np.isfinite(new_w).all():
         raise DivergenceError(
             f"weights became non-finite at iteration {state.iteration}",
             iteration=state.iteration,
         )
-    return FilterState(new_w, state.iteration + 1), e
+    return FilterState._next(new_w, state.iteration + 1), e

@@ -529,3 +529,20 @@ def test_module_entry_point_runs_without_warnings(package_env):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("usage: sparselms")
+
+
+def test_imports_do_not_load_numpy_random(package_env):
+    # numpy.random is imported on first use by the cell builder, so the
+    # one-sample step API and the CLI's set-up do not pay for it
+    script = (
+        "import sys\n"
+        "import sparselms\n"
+        "assert 'numpy.random' not in sys.modules, 'sparselms'\n"
+        "assert 'sparselms.cli' not in sys.modules, 'sparselms.cli'\n"
+        "import sparselms.cli\n"
+        "assert 'numpy.random' not in sys.modules, 'cli'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=package_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

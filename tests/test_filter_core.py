@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -494,3 +495,96 @@ def test_filter_state_zeros_validation():
     s = FilterState.zeros(4)
     assert s.iteration == 0
     np.testing.assert_array_equal(s.weights, np.zeros(4))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (0,), (), (1, 3)])
+def test_filter_state_rejects_weights_that_are_not_taps(shape):
+    with pytest.raises(ParameterError, match=rf"shape {re.escape(str(shape))}"):
+        FilterState(np.zeros(shape))
+    with pytest.raises(ParameterError, match=rf"shape {re.escape(str(shape))}"):
+        dataclasses.replace(FilterState.zeros(2), weights=np.zeros(shape))
+
+
+def test_filter_state_rejects_an_empty_list():
+    with pytest.raises(ParameterError, match=r"shape \(0,\)"):
+        FilterState([])
+
+
+@pytest.mark.parametrize("x_shape", [(16, 1), (1, 16), ()])
+def test_length_mismatch_names_both_shapes(x_shape):
+    state = FilterState.zeros(16)
+    cfg = AlgorithmConfig(Variant.LMS)
+    message = rf"shape \(16,\) but regressor has shape {re.escape(str(x_shape))}"
+    with pytest.raises(DimensionMismatchError, match=message):
+        step(state, np.zeros(x_shape), 0.0, cfg)
+    with pytest.raises(DimensionMismatchError, match=message):
+        predict(state, np.zeros(x_shape))
+
+
+def test_length_mismatch_names_both_lengths():
+    with pytest.raises(DimensionMismatchError, match="length 3 but regressor has length 2"):
+        step(FilterState.zeros(3), [1.0, 2.0], 0.0, AlgorithmConfig(Variant.LMS))
+
+
+# ------------------------------------------------- the state step() returns
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_returns_a_fresh_state(variant):
+    rng = np.random.default_rng(17)
+    cfg = random_cfg(variant, rng)
+    w = rng.standard_normal(5)
+    x = rng.standard_normal(5)
+    state = FilterState(w.copy(), iteration=41)
+    new, _ = step(state, x, 0.3, cfg)
+    assert type(new) is FilterState
+    assert new.weights.dtype == np.float64
+    assert new.weights.ndim == 1 and new.weights.flags.c_contiguous
+    assert not np.shares_memory(new.weights, x)
+    assert not np.shares_memory(new.weights, state.weights)
+    assert new.iteration == 42 and type(new.iteration) is int
+    assert state.iteration == 41
+    np.testing.assert_array_equal(state.weights, w)
+    built = FilterState(new.weights, 42)
+    assert vars(new).keys() == vars(built).keys()
+    assert all(np.array_equal(getattr(new, f.name), getattr(built, f.name))
+               for f in dataclasses.fields(FilterState))
+    reset = dataclasses.replace(new, iteration=0)
+    assert reset.iteration == 0
+    np.testing.assert_array_equal(reset.weights, new.weights)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_rejects_new_weights_whose_sum_is_nan(variant):
+    # (mu*e)*x overflows to [inf, -inf]: no weight is NaN, but their sum is
+    cfg = AlgorithmConfig(variant, mu=1e200, gamma=0.5, rho_pl=0.003)
+    state = FilterState(np.zeros(2), iteration=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as exc:
+            step(state, np.array([1e200, -1e200]), 1e200, cfg)
+    assert exc.value.iteration == 3
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_rejects_a_nan_weight(variant):
+    cfg = AlgorithmConfig(variant, mu=0.0, gamma=0.5, rho_pl=0.003)
+    state = FilterState(np.array([np.nan, 0.0]), iteration=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as exc:
+            step(state, np.zeros(2), 0.0, cfg)
+    assert exc.value.iteration == 5
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_finite_weights_whose_left_fold_overflows_do_not_diverge(variant):
+    # 1e308 + 1e308 overflows before -1e308 is added, so the sum is inf
+    # though every weight is finite
+    cfg = AlgorithmConfig(variant, mu=0.0, gamma=0.5, rho_pl=0.0)
+    w = np.array([1e308, 1e308, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new_state, e = step(FilterState(w), np.zeros(3), 0.0, cfg)
+    np.testing.assert_array_equal(new_state.weights, w)
+    assert e == 0.0 and new_state.iteration == 1
