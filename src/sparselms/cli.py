@@ -61,7 +61,7 @@ def _parse_sr_list(raw, config):
 def _print_summary(curves, config):
     print(f"{'algorithm':<14} {'SR':>6}  {'steady-state MSD':>18}  {'stderr':>12}")
     for curve in sorted(curves, key=_curve_key):
-        s = steady_state(curve, min(config.steady_state_window, curve.values.shape[0]))
+        s = steady_state(curve, config.steady_state_window)
         sr = f"{curve.sparsity_level}/{curve.n_taps}"
         print(f"{curve.variant.value:<14} {sr:>6}  {s.mean:>18.6e}  {s.stderr:>12.3e}")
 
@@ -85,13 +85,6 @@ def build_arg_parser():
         help="comma-separated subset of: " + ", ".join(v.value for v in Variant),
     )
     ap.add_argument("--sr", metavar="LIST", help="comma-separated sparsity ratios like 1/16,8/16")
-    ap.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="worker count, >= 1; all runs of a cell advance together in one batch, "
-        "so N does not change the work or the output",
-    )
     ap.add_argument("--plot", action="store_true", help="also write an SVG convergence plot")
     ap.add_argument("--db", action="store_true", help="plot MSD on a dB scale")
     ap.add_argument("--summary", action="store_true", help="print the steady-state table")
@@ -118,7 +111,7 @@ def main(argv=None):
         variants = _parse_algorithms(args.algorithms) if args.algorithms else None
         levels = _parse_sr_list(args.sr, config) if args.sr else None
 
-        curves = run_experiment(config, variants, levels, workers=args.workers)
+        curves = run_experiment(config, variants, levels)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         emit_csv(curves, outdir / "msd_curves.csv")

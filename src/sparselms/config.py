@@ -21,23 +21,12 @@ import dataclasses
 
 from .errors import ConfigError
 from .experiment import ExperimentConfig, default_schedule
-from .filter_core import AlgorithmConfig, LeakSign, Variant
+from .filter_core import _READERS, AlgorithmConfig, LeakSign, Variant
 
 __all__ = ["parse_config"]
 
 _INT_KEYS = {"n_taps", "iterations", "runs", "steady_state_window", "master_seed"}
 _FLOAT_KEYS = {"ar_coeff", "drive_variance", "noise_variance"}
-_HYPER_FLOAT = {"mu", "gamma", "rho_pl", "epsilon_pl", "p"}
-
-# Which variants a broadcast hyperparameter key applies to.
-_RELEVANT = {
-    "mu": frozenset(Variant),
-    "gamma": frozenset({Variant.LLMS, Variant.LP_LIKE_LLMS}),
-    "rho_pl": frozenset({Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS}),
-    "epsilon_pl": frozenset({Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS}),
-    "p": frozenset({Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS}),
-    "leak_sign": frozenset({Variant.LP_LIKE_LLMS}),
-}
 
 
 def _coerce_int(key, value, lineno):
@@ -58,7 +47,10 @@ def _coerce_float(key, value, lineno):
         ) from None
 
 
-def _coerce_leak_sign(value, lineno):
+def _coerce_hyperparameter(key, value, lineno):
+    """A key of ``filter_core._READERS``: a LeakSign for ``leak_sign``, else a float."""
+    if key != "leak_sign":
+        return _coerce_float(key, value, lineno)
     try:
         return LeakSign(value)
     except ValueError:
@@ -147,10 +139,8 @@ def parse_config(text):
             fields[key] = _coerce_int(key, value, lineno)
         elif key in _FLOAT_KEYS:
             fields[key] = _coerce_float(key, value, lineno)
-        elif key in _HYPER_FLOAT:
-            broadcast[key] = _coerce_float(key, value, lineno)
-        elif key == "leak_sign":
-            broadcast[key] = _coerce_leak_sign(value, lineno)
+        elif key in _READERS:
+            broadcast[key] = _coerce_hyperparameter(key, value, lineno)
         else:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
 
@@ -158,10 +148,8 @@ def parse_config(text):
     for (variant, level), kv in sections.items():
         entry = {}
         for key, (lineno, value) in kv.items():
-            if key in _HYPER_FLOAT:
-                entry[key] = _coerce_float(key, value, lineno)
-            elif key == "leak_sign":
-                entry[key] = _coerce_leak_sign(value, lineno)
+            if key in _READERS:
+                entry[key] = _coerce_hyperparameter(key, value, lineno)
             else:
                 raise ConfigError(
                     f"line {lineno}: unknown schedule key '{key}' in [{variant.value}.{level}]"
@@ -175,7 +163,7 @@ def parse_config(text):
     for variant in Variant:
         for level in sorted(needed):
             base = table.get((variant, level), AlgorithmConfig(variant))
-            overrides = {k: v for k, v in broadcast.items() if variant in _RELEVANT[k]}
+            overrides = {k: v for k, v in broadcast.items() if variant in _READERS[k]}
             overrides.update(section_cfg.get((variant, level), {}))
             schedule[(variant, level)] = (
                 dataclasses.replace(base, **overrides) if overrides else base

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, ParameterError
-from .filter_core import _SHRINKING, AlgorithmConfig, Variant
+from .filter_core import AlgorithmConfig, Variant
 from .signal_gen import gen_cell_realizations
 
 __all__ = [
@@ -217,8 +217,7 @@ def _run_batch(xr, sT, desired, cfg):
     """
     iterations, runs = desired.shape
     n_taps = sT.shape[0]
-    mu, leak_mult, shrink = cfg.mu, cfg.leak_mult, cfg.variant in _SHRINKING
-    rho_pl, eps_pl, p = cfg.rho_pl, cfg.epsilon_pl, cfg.p
+    mu, leak_mult, shrink = cfg.mu, cfg.leak_mult, cfg._shrink
     hist = np.empty((_BLOCK, n_taps, runs))
     w = np.zeros((n_taps, runs))
     traces = np.empty((runs, iterations))
@@ -234,7 +233,8 @@ def _run_batch(xr, sT, desired, cfg):
                 e *= mu
                 new_w = np.multiply(xk, e, hist[j])
                 new_w += w if leak_mult == 1.0 else leak_mult * w  # 1.0 * w is w, bit for bit
-                if shrink:  # rho_pl * (p * sign(w) / (eps_pl + |w|**(1-p)))
+                if shrink is not None:  # rho_pl * (p * sign(w) / (eps_pl + |w|**(1-p)))
+                    rho_pl, p, eps_pl = shrink
                     s = p * np.sign(w)
                     s /= eps_pl + np.abs(w) ** (1.0 - p)
                     s *= rho_pl
@@ -250,11 +250,6 @@ def _run_batch(xr, sT, desired, cfg):
                 first = ~finite.all(axis=0) & (bad < 0)
                 bad[first] = b + np.argmin(finite[:, first], axis=0)
     return traces, bad
-
-
-def _check_workers(workers):
-    if workers is not None and workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers}")
 
 
 def run_trial(system, x, noise, cfg, iterations):
@@ -309,7 +304,7 @@ def _run_variant(config, variant, level, signal):
             f"{what} at iteration {k} ({cell})", iteration=k, run=r, variant=variant, level=level
         )
     # a copy, so that the curve does not keep the whole trace array alive
-    tails = traces[:, -min(config.steady_state_window, config.iterations):].copy()
+    tails = traces[:, -config.steady_state_window :].copy()
     mean = _left_fold(traces) / config.runs
     return MsdCurve(variant, level, config.n_taps, mean, config.runs, tails)
 
@@ -349,14 +344,13 @@ def _raise_first_error(outcomes):
     return outcomes
 
 
-def run_cell(variant, sparsity_level, config, workers=None):
+def run_cell(variant, sparsity_level, config):
     """Average one (variant, sparsity) cell over ``config.runs`` runs.
 
     This is :func:`run_experiment` for a single cell.  Run r's realizations
     come from ``RngStream(master_seed, r)`` and depend only on r, so every
     variant's cell sees the same systems, inputs, and noise.  All runs
     advance together and traces are summed in run-index order.
-    ``workers`` (None or >= 1) does not change the work or the result.
 
     Raises
     ------
@@ -366,22 +360,21 @@ def run_cell(variant, sparsity_level, config, workers=None):
         At the first diverging run in run-index order, naming the run,
         iteration, variant and level.
     """
-    _check_workers(workers)
     return _raise_first_error(_run_level(config, [variant], sparsity_level))[0]
 
 
-def run_experiment(config, variants=None, levels=None, workers=None):
+def run_experiment(config, variants=None, levels=None):
     """Run all requested cells; defaults to every variant at every level.
 
     The sparsity level is the unit of work: each level's realizations and
     desired signal are built once and shared by all requested variants,
-    and every cell runs before any error is raised.  Curves come back
+    and every cell runs before any error is raised.  A cell's curve is the
+    same, bit for bit, whichever other cells are requested.  Curves come back
     variant-major (all levels of the first variant, then the next).  If
     cells fail, the error raised is that of the first failing cell in the
     same variant-major order, which is the cell :func:`run_cell` calls
     made one by one in that order would have stopped at.
     """
-    _check_workers(workers)
     # a list: every level iterates it
     variants = list(Variant) if variants is None else list(variants)
     if levels is None:

@@ -15,6 +15,7 @@ new one, never mutating their inputs.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +59,16 @@ class LeakSign(enum.Enum):
 _LEAKY = (Variant.LLMS, Variant.LP_LIKE_LLMS)
 _SHRINKING = (Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS)
 
+# The variants that read each hyperparameter of AlgorithmConfig; the others ignore it.
+_READERS = {
+    "mu": tuple(Variant),
+    "gamma": _LEAKY,
+    "rho_pl": _SHRINKING,
+    "epsilon_pl": _SHRINKING,
+    "p": _SHRINKING,
+    "leak_sign": (Variant.LP_LIKE_LLMS,),
+}
+
 
 @dataclass(frozen=True)
 class AlgorithmConfig:
@@ -95,7 +106,7 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         if self.leak_sign is None:
-            default = LeakSign.PLUS if self.variant is Variant.LP_LIKE_LLMS else LeakSign.MINUS
+            default = LeakSign.PLUS if self.variant in _READERS["leak_sign"] else LeakSign.MINUS
             object.__setattr__(self, "leak_sign", default)
         if not self.mu >= 0.0:
             raise ParameterError(f"mu must satisfy mu >= 0, got {self.mu}")
@@ -122,13 +133,11 @@ class AlgorithmConfig:
         ``1 - mu*gamma`` for ``llms``; ``1 + mu*gamma`` or ``1 - mu*gamma``, by
         ``leak_sign``, for ``lp_like_llms``; 1 for the variants without leakage.
         """
-        if self.variant is Variant.LLMS or (
-            self.variant is Variant.LP_LIKE_LLMS and self.leak_sign is LeakSign.MINUS
-        ):
-            return 1.0 - self.mu * self.gamma
-        if self.variant is Variant.LP_LIKE_LLMS:
+        if self.variant not in _LEAKY:
+            return 1.0
+        if self.variant in _READERS["leak_sign"] and self.leak_sign is LeakSign.PLUS:
             return 1.0 + self.mu * self.gamma
-        return 1.0
+        return 1.0 - self.mu * self.gamma
 
     @cached_property
     def _shrink(self):
@@ -144,19 +153,24 @@ class FilterState:
     iteration: int = 0
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=float)
+        try:
+            weights = np.asarray(self.weights, dtype=float)
+        except (TypeError, ValueError):
+            raise _not_numbers("weights", self.weights) from None
         if weights.ndim != 1 or weights.size < 1:
             raise ParameterError(
                 f"weights must be 1-d with at least one tap, got shape {weights.shape}"
             )
+        if not isinstance(self.iteration, numbers.Integral) or self.iteration < 0:
+            raise ParameterError(f"iteration must be an integer >= 0, got {self.iteration!r}")
         object.__setattr__(self, "weights", weights)
 
     @classmethod
     def zeros(cls, n_taps):
         """All-zero estimate of the given length, iteration counter at 0."""
-        if n_taps < 1:
-            raise ParameterError(f"n_taps must be >= 1, got {n_taps}")
-        return cls(np.zeros(int(n_taps)), 0)
+        if not isinstance(n_taps, numbers.Integral) or n_taps < 1:
+            raise ParameterError(f"n_taps must be an integer >= 1, got {n_taps!r}")
+        return cls(np.zeros(n_taps), 0)
 
     @classmethod
     def _next(cls, weights, iteration):
@@ -167,6 +181,11 @@ class FilterState:
         fields["weights"] = weights
         fields["iteration"] = iteration
         return state
+
+
+def _not_numbers(name, value):
+    """The error for ``value`` that numpy cannot read as floats: ragged, or not numbers."""
+    return ParameterError(f"{name} must be an array of floats, got {value!r}")
 
 
 def _check_lengths(w, x):
@@ -199,7 +218,10 @@ def predict(state, x):
     -------
     float
     """
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise _not_numbers("regressor", x) from None
     _check_lengths(state.weights, x)
     return float(np.dot(state.weights, x))
 
@@ -288,7 +310,10 @@ def step(state, x, desired, cfg):
         The new state and the pre-update error ``e = desired - w . x``,
         which is the same for every variant.
     """
-    x = np.asarray(x, dtype=float)
+    try:  # free on Python 3.11+ unless it raises
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise _not_numbers("regressor", x) from None
     w = state.weights
     if w.shape != x.shape:
         _check_lengths(w, x)

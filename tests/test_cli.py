@@ -1,7 +1,9 @@
 import hashlib
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparselms import (
-    AlgorithmConfig,
     ConfigError,
     ExperimentConfig,
     LeakSign,
@@ -23,7 +24,7 @@ from sparselms import (
     run_cell,
     run_experiment,
 )
-from sparselms.cli import main
+from sparselms.cli import build_arg_parser, main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -497,28 +498,28 @@ def test_main_iterations_override_clamps_window(tmp_path):
     assert rc == 0
 
 
-def test_main_workers_flag_matches_serial(tmp_path):
-    base = ["--runs", "4", "--iterations", "150", "--sr", "4/16", "--algorithms",
-            "lp_like_llms"]
-    main(base + ["--out", str(tmp_path / "s")])
-    main(base + ["--workers", "3", "--out", str(tmp_path / "w")])
-    a = (tmp_path / "s" / "msd_curves.csv").read_bytes()
-    b = (tmp_path / "w" / "msd_curves.csv").read_bytes()
-    assert a == b
-
-
-@pytest.mark.parametrize("workers", [0, -3])
-def test_workers_below_one_are_rejected(workers, tmp_path, capsys):
+def test_there_is_no_worker_count(tmp_path, capsys):
+    # one engine batches every run of a cell, so a worker count would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["--runs", "1", "--iterations", "10", "--sr", "1/16", "--algorithms", "lms",
+              "--workers", "2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
     config = ExperimentConfig(runs=1, iterations=10, steady_state_window=5)
-    with pytest.raises(ParameterError, match="workers"):
-        run_cell(Variant.LMS, 1, config, workers=workers)
-    with pytest.raises(ParameterError, match="workers"):
-        run_experiment(config, workers=workers)
-    rc = main(["--runs", "1", "--iterations", "10", "--sr", "1/16", "--algorithms", "lms",
-               "--workers", str(workers), "--out", str(tmp_path / "o")])
-    assert rc == 1
-    assert capsys.readouterr().err.startswith("error: workers must be >= 1")
-    assert not (tmp_path / "o" / "msd_curves.csv").exists()
+    with pytest.raises(TypeError, match="workers"):
+        run_experiment(config, workers=2)
+    with pytest.raises(TypeError, match="workers"):
+        run_cell(Variant.LMS, 1, config, workers=2)
+
+
+def test_readme_lists_every_cli_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    useful = re.search(r"Useful flags:\n\n(.*?)\n\n", readme, re.S)
+    assert useful, "README has no 'Useful flags:' list"
+    listed = set(re.findall(r"`(--[a-z-]+)", useful.group(1)))
+    options = {opt for action in build_arg_parser()._actions for opt in action.option_strings}
+    assert listed == options - {"-h", "--help"}
 
 
 def test_module_entry_point_runs_without_warnings(package_env):

@@ -190,14 +190,6 @@ def test_run_cell_mean_is_exact_run_average():
     np.testing.assert_array_equal(curve.values, acc / 5)
 
 
-def test_run_cell_worker_count_is_bit_invariant():
-    config = small_config(runs=8)
-    serial = run_cell(Variant.LP_LIKE_LLMS, 4, config, workers=None)
-    threaded = run_cell(Variant.LP_LIKE_LLMS, 4, config, workers=4)
-    np.testing.assert_array_equal(serial.values, threaded.values)
-    np.testing.assert_array_equal(serial.run_tails, threaded.run_tails)
-
-
 def test_run_cell_pairs_realizations_across_variants():
     # with frozen filters the curves depend only on the drawn systems,
     # which must match run-for-run between variants

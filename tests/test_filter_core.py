@@ -492,17 +492,29 @@ def test_replace_recomputes_the_per_config_constants():
 def test_filter_state_zeros_validation():
     with pytest.raises(ParameterError):
         FilterState.zeros(0)
+    with pytest.raises(ParameterError, match="n_taps must be an integer >= 1, got 2.5"):
+        FilterState.zeros(2.5)
+    with pytest.raises(ParameterError, match="n_taps must be an integer >= 1, got '3'"):
+        FilterState.zeros("3")
+    with pytest.raises(ParameterError, match="iteration must be an integer >= 0, got -3"):
+        FilterState(np.zeros(2), iteration=-3)
     s = FilterState.zeros(4)
     assert s.iteration == 0
     np.testing.assert_array_equal(s.weights, np.zeros(4))
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (0,), (), (1, 3)])
+RAGGED = [[1.0], [1.0, 2.0]]
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (0,), (), (1, 3), pytest.param(None, id="ragged")])
 def test_filter_state_rejects_weights_that_are_not_taps(shape):
-    with pytest.raises(ParameterError, match=rf"shape {re.escape(str(shape))}"):
-        FilterState(np.zeros(shape))
-    with pytest.raises(ParameterError, match=rf"shape {re.escape(str(shape))}"):
-        dataclasses.replace(FilterState.zeros(2), weights=np.zeros(shape))
+    # ragged weights have no shape; the error names them instead
+    weights = RAGGED if shape is None else np.zeros(shape)
+    named = re.escape(str(RAGGED) if shape is None else f"shape {shape}")
+    with pytest.raises(ParameterError, match=named):
+        FilterState(weights)
+    with pytest.raises(ParameterError, match=named):
+        dataclasses.replace(FilterState.zeros(2), weights=weights)
 
 
 def test_filter_state_rejects_an_empty_list():
@@ -510,15 +522,22 @@ def test_filter_state_rejects_an_empty_list():
         FilterState([])
 
 
-@pytest.mark.parametrize("x_shape", [(16, 1), (1, 16), ()])
+@pytest.mark.parametrize(
+    "x_shape", [(16, 1), (1, 16), (), pytest.param(None, id="not_numbers")]
+)
 def test_length_mismatch_names_both_shapes(x_shape):
     state = FilterState.zeros(16)
     cfg = AlgorithmConfig(Variant.LMS)
-    message = rf"shape \(16,\) but regressor has shape {re.escape(str(x_shape))}"
-    with pytest.raises(DimensionMismatchError, match=message):
-        step(state, np.zeros(x_shape), 0.0, cfg)
-    with pytest.raises(DimensionMismatchError, match=message):
-        predict(state, np.zeros(x_shape))
+    if x_shape is None:  # numpy cannot read it, so it has no shape; the error names it
+        x, error = ["a", "b"], ParameterError
+        message = r"regressor must be an array of floats, got \['a', 'b'\]"
+    else:
+        x, error = np.zeros(x_shape), DimensionMismatchError
+        message = rf"shape \(16,\) but regressor has shape {re.escape(str(x_shape))}"
+    with pytest.raises(error, match=message):
+        step(state, x, 0.0, cfg)
+    with pytest.raises(error, match=message):
+        predict(state, x)
 
 
 def test_length_mismatch_names_both_lengths():
