@@ -19,14 +19,8 @@ from .filter_core import (
     FilterState,
     LeakSign,
     Variant,
-    instantaneous_error,
-    llms_step,
-    lms_step,
-    lp_like_llms_step,
-    lp_like_lms_step,
     pnorm_like,
     pnorm_like_gradient_term,
-    predict,
     step,
 )
 from .signal_gen import (
@@ -73,16 +67,10 @@ __all__ = [
     "gen_cell_realizations",
     "gen_gaussian_noise",
     "gen_sparse_system",
-    "instantaneous_error",
-    "llms_step",
-    "lms_step",
-    "lp_like_llms_step",
-    "lp_like_lms_step",
     "msd",
     "parse_config",
     "pnorm_like",
     "pnorm_like_gradient_term",
-    "predict",
     "regressor_at",
     "run_cell",
     "run_experiment",

@@ -24,6 +24,7 @@ invocation to the next, and all variants see identical realizations at a
 given run index (paired comparisons).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,10 +121,14 @@ class ExperimentConfig:
                 )
         if not abs(self.ar_coeff) < 1:
             raise ParameterError(f"ar_coeff must satisfy |ar_coeff| < 1, got {self.ar_coeff}")
-        if not self.drive_variance > 0:
-            raise ParameterError(f"drive_variance must be > 0, got {self.drive_variance}")
-        if not self.noise_variance >= 0:
-            raise ParameterError(f"noise_variance must be >= 0, got {self.noise_variance}")
+        if not 0 < self.drive_variance < math.inf:
+            raise ParameterError(
+                f"drive_variance must be finite and > 0, got {self.drive_variance}"
+            )
+        if not 0 <= self.noise_variance < math.inf:
+            raise ParameterError(
+                f"noise_variance must be finite and >= 0, got {self.noise_variance}"
+            )
         if not 0 <= int(self.master_seed) < 2**64:
             raise ParameterError(
                 f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
@@ -336,14 +341,6 @@ def _run_level(config, variants, level):
     return outcomes
 
 
-def _raise_first_error(outcomes):
-    """Raise the first error among cell outcomes; else return the curves."""
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
-
-
 def run_cell(variant, sparsity_level, config):
     """Average one (variant, sparsity) cell over ``config.runs`` runs.
 
@@ -360,7 +357,7 @@ def run_cell(variant, sparsity_level, config):
         At the first diverging run in run-index order, naming the run,
         iteration, variant and level.
     """
-    return _raise_first_error(_run_level(config, [variant], sparsity_level))[0]
+    return run_experiment(config, [variant], [sparsity_level])[0]
 
 
 def run_experiment(config, variants=None, levels=None):
@@ -380,14 +377,19 @@ def run_experiment(config, variants=None, levels=None):
     if levels is None:
         levels = list(config.sparsity_levels)
     by_level = [_run_level(config, variants, s) for s in levels]
-    return _raise_first_error([outcome for row in zip(*by_level) for outcome in row])
+    outcomes = [outcome for row in zip(*by_level) for outcome in row]
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def steady_state(curve, window):
     """Mean of the trailing ``window`` curve values, with across-run stderr.
 
     The standard error is computed from per-run trailing means when the
-    curve carries them (and 0.0 otherwise, e.g. for hand-built curves).
+    curve carries them (and 0.0 otherwise, e.g. for hand-built curves or a
+    single run).  A window wider than the stored per-run tails raises.
     """
     n = curve.values.shape[0]
     if not 1 <= window <= n:
@@ -395,7 +397,12 @@ def steady_state(curve, window):
     mean = float(curve.values[-window:].mean())
     stderr = 0.0
     tails = curve.run_tails
-    if tails is not None and curve.runs > 1 and tails.shape[1] >= window:
+    if tails is not None and curve.runs > 1:
+        if tails.shape[1] < window:
+            raise ParameterError(
+                f"window {window} is wider than the curve's stored run tails, "
+                f"{tails.shape[1]} iterations wide"
+            )
         per_run = tails[:, -window:].mean(axis=1)
         stderr = float(per_run.std(ddof=1) / np.sqrt(curve.runs))
     return SteadyStateSummary(curve.variant, curve.sparsity_level, mean, stderr)

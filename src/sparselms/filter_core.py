@@ -1,16 +1,20 @@
 """Weight-update rules of the LMS family, with optional leakage and shrinkage.
 
-Four variants share a single step interface:
+:func:`step` is the one-sample API for all four variants; the variant
+comes from ``AlgorithmConfig.variant``.  With ``e = d - w . x``:
 
-* ``lms``          -- plain stochastic gradient on the squared error,
-* ``llms``         -- leaky LMS, multiplicative weight decay ``(1 - mu*gamma)``,
-* ``lp_like_lms``  -- LMS plus an elementwise shrinkage term derived from the
-  nonconvex penalty ``sum_i |w_i|**p`` (0 < p < 1),
-* ``lp_like_llms`` -- leaky LMS plus the same shrinkage term; the leak
-  multiplier sign is configurable and defaults to ``(1 + mu*gamma)``.
+* ``lms``          -- ``w' = w + mu*e*x``, plain stochastic gradient on the
+  squared error,
+* ``llms``         -- ``w' = (1 - mu*gamma)*w + mu*e*x``, leaky LMS,
+* ``lp_like_lms``  -- ``w' = w + mu*e*x - rho_pl*g(w)``, LMS plus an
+  elementwise shrinkage term ``g`` (:func:`pnorm_like_gradient_term`)
+  derived from the nonconvex penalty ``sum_i |w_i|**p`` (0 < p < 1),
+* ``lp_like_llms`` -- ``w' = (1 +/- mu*gamma)*w + mu*e*x - rho_pl*g(w)``,
+  leaky LMS plus the same shrinkage term; the leak sign comes from
+  ``leak_sign`` and defaults to PLUS.
 
-All steps are pure functions: they take a :class:`FilterState` and return a
-new one, never mutating their inputs.
+:func:`step` is a pure function: it takes a :class:`FilterState` and
+returns a new one with the pre-update error, never mutating its inputs.
 """
 
 import enum
@@ -28,14 +32,8 @@ __all__ = [
     "LeakSign",
     "AlgorithmConfig",
     "FilterState",
-    "predict",
-    "instantaneous_error",
     "pnorm_like",
     "pnorm_like_gradient_term",
-    "lms_step",
-    "llms_step",
-    "lp_like_lms_step",
-    "lp_like_llms_step",
     "step",
 ]
 
@@ -82,13 +80,13 @@ class AlgorithmConfig:
     variant : Variant
         Which update rule the configuration drives.
     mu : float
-        Step size, >= 0 (0 freezes the filter; useful for baselines).
+        Step size, finite and >= 0 (0 freezes the filter; useful for baselines).
     gamma : float
         Leakage factor, in [0, 1) for the leaky variants.
     rho_pl : float
-        Shrinkage weight (step size times penalty weight), >= 0.
+        Shrinkage weight (step size times penalty weight), finite and >= 0.
     epsilon_pl : float
-        Denominator regularizer of the shrinkage term, > 0.
+        Denominator regularizer of the shrinkage term, finite and > 0.
     p : float
         Penalty exponent, in (0, 1).
     leak_sign : LeakSign or None
@@ -108,8 +106,8 @@ class AlgorithmConfig:
         if self.leak_sign is None:
             default = LeakSign.PLUS if self.variant in _READERS["leak_sign"] else LeakSign.MINUS
             object.__setattr__(self, "leak_sign", default)
-        if not self.mu >= 0.0:
-            raise ParameterError(f"mu must satisfy mu >= 0, got {self.mu}")
+        if not 0.0 <= self.mu < math.inf:
+            raise ParameterError(f"mu must be finite and >= 0, got {self.mu}")
         if self.variant in _LEAKY and not 0.0 <= self.gamma < 1.0:
             raise ParameterError(
                 f"gamma must satisfy 0 <= gamma < 1 for {self.variant.value}, got {self.gamma}"
@@ -117,11 +115,11 @@ class AlgorithmConfig:
         if self.variant in _SHRINKING:
             if not 0.0 < self.p < 1.0:
                 raise ParameterError(f"p must satisfy 0 < p < 1, got {self.p}")
-            if not self.rho_pl >= 0.0:
-                raise ParameterError(f"rho_pl must satisfy rho_pl >= 0, got {self.rho_pl}")
-            if not self.epsilon_pl > 0.0:
+            if not 0.0 <= self.rho_pl < math.inf:
+                raise ParameterError(f"rho_pl must be finite and >= 0, got {self.rho_pl}")
+            if not 0.0 < self.epsilon_pl < math.inf:
                 raise ParameterError(
-                    f"epsilon_pl must satisfy epsilon_pl > 0, got {self.epsilon_pl}"
+                    f"epsilon_pl must be finite and > 0, got {self.epsilon_pl}"
                 )
 
     # Per-config constants of step(), computed on first use and cached on
@@ -197,40 +195,6 @@ def _check_lengths(w, x):
         raise DimensionMismatchError(message)
 
 
-def _check_variant(cfg, expected):
-    if cfg.variant is not expected:
-        raise ParameterError(
-            f"config selects variant '{cfg.variant.value}' but this step implements "
-            f"'{expected.value}'"
-        )
-
-
-def predict(state, x):
-    """Filter output ``w . x`` for the current weights.
-
-    Parameters
-    ----------
-    state : FilterState
-    x : array_like
-        Regressor vector, most recent sample first; same length as the weights.
-
-    Returns
-    -------
-    float
-    """
-    try:
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise _not_numbers("regressor", x) from None
-    _check_lengths(state.weights, x)
-    return float(np.dot(state.weights, x))
-
-
-def instantaneous_error(desired, predicted):
-    """Error ``desired - predicted`` for one sample."""
-    return float(desired) - float(predicted)
-
-
 def pnorm_like(w, p):
     """Nonconvex sparsity penalty ``sum_i |w_i|**p`` with 0 < p < 1.
 
@@ -264,34 +228,6 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
     with np.errstate(divide="ignore", invalid="ignore"):
         g = p * np.sign(w) / denom
     return np.where(w == 0.0, 0.0, g)
-
-
-def lms_step(state, x, desired, cfg):
-    """One plain LMS update: ``w' = w + mu*e*x``."""
-    _check_variant(cfg, Variant.LMS)
-    return step(state, x, desired, cfg)[0]
-
-
-def llms_step(state, x, desired, cfg):
-    """One leaky LMS update: ``w' = (1 - mu*gamma)*w + mu*e*x``."""
-    _check_variant(cfg, Variant.LLMS)
-    return step(state, x, desired, cfg)[0]
-
-
-def lp_like_lms_step(state, x, desired, cfg):
-    """One shrinkage-constrained LMS update: ``w' = w + mu*e*x - rho_pl*g(w)``."""
-    _check_variant(cfg, Variant.LP_LIKE_LMS)
-    return step(state, x, desired, cfg)[0]
-
-
-def lp_like_llms_step(state, x, desired, cfg):
-    """One leaky, shrinkage-constrained update.
-
-    ``w' = (1 +/- mu*gamma)*w + mu*e*x - rho_pl*g(w)`` with the leak sign
-    taken from ``cfg.leak_sign`` (PLUS by default).
-    """
-    _check_variant(cfg, Variant.LP_LIKE_LLMS)
-    return step(state, x, desired, cfg)[0]
 
 
 # Overflow on the way to non-finite weights is divergence, which the finite

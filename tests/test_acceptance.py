@@ -2,10 +2,11 @@
 
 Each test prints one ``[acceptance] criterion N: PASS|FAIL`` line (visible
 with ``pytest -s``; captured otherwise) and then asserts the same verdict.
-Criteria 1-3 share a single full default study (16 taps, 8000 iterations,
-200 runs per cell) computed once per session.
+Criteria 1-3 and the stored output hashes share a single full default
+study (16 taps, 8000 iterations, 200 runs per cell) computed once per session.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -18,18 +19,17 @@ from sparselms import (
     LeakSign,
     RngStream,
     Variant,
+    emit_csv,
+    emit_plot,
     gen_ar1_input,
     gen_gaussian_noise,
     gen_sparse_system,
-    llms_step,
-    lms_step,
-    lp_like_llms_step,
-    lp_like_lms_step,
     pnorm_like,
     pnorm_like_gradient_term,
     run_experiment,
     run_trial,
     steady_state,
+    step,
 )
 from sparselms.cli import main
 
@@ -46,42 +46,62 @@ def beats(a, b):
 
 @pytest.fixture(scope="module")
 def study():
+    """The default study's steady-state summaries by cell, and its curves."""
     config = ExperimentConfig()
     curves = run_experiment(config)
-    return {
+    summaries = {
         (c.variant, c.sparsity_level): steady_state(c, config.steady_state_window)
         for c in curves
     }
+    return summaries, curves
 
 
 def test_criterion_1_best_steady_state_in_sparse_cells(study):
+    summaries, _ = study
     ok = True
     for level in (1, 4, 8):
-        proposed = study[(Variant.LP_LIKE_LLMS, level)]
+        proposed = summaries[(Variant.LP_LIKE_LLMS, level)]
         for other in (Variant.LMS, Variant.LLMS, Variant.LP_LIKE_LMS):
-            ok = ok and beats(proposed, study[(other, level)])
+            ok = ok and beats(proposed, summaries[(other, level)])
     report(1, ok)
 
 
 def test_criterion_2_shrinkage_variants_win_when_very_sparse(study):
+    summaries, _ = study
     ok = True
     for sparse_variant in (Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS):
         for plain_variant in (Variant.LMS, Variant.LLMS):
-            ok = ok and beats(study[(sparse_variant, 1)], study[(plain_variant, 1)])
+            ok = ok and beats(summaries[(sparse_variant, 1)], summaries[(plain_variant, 1)])
     report(2, ok)
 
 
 def test_criterion_3_near_parity_in_dense_cell(study):
+    summaries, _ = study
     pairs = [
         (Variant.LP_LIKE_LMS, Variant.LMS),
         (Variant.LP_LIKE_LLMS, Variant.LLMS),
     ]
     ok = True
     for sparse_variant, plain_variant in pairs:
-        a = study[(sparse_variant, 16)].mean
-        b = study[(plain_variant, 16)].mean
+        a = summaries[(sparse_variant, 16)].mean
+        b = summaries[(plain_variant, 16)].mean
         ok = ok and abs(a - b) <= 0.10 * b
     report(3, ok)
+
+
+# sha256 of the default study's outputs, as `sparselms --out DIR --plot --db`
+# writes them: any change to the study's values or the emitters shows here
+STUDY_CSV_SHA256 = "be0d012785ef72d9dd790624273b4241552c7961be1119f1a171a3df8a1142d3"
+STUDY_SVG_SHA256 = "f57228463cc4ee3ec4fdb55a4433e6eaef610b491c3eae40463ebdb7fef2f354"
+
+
+def test_default_study_bytes_are_stored(study, tmp_path):
+    _, curves = study
+    emit_csv(curves, tmp_path / "msd_curves.csv")
+    emit_plot(curves, tmp_path / "msd_curves.svg", db_scale=True)
+    sha = lambda name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert sha("msd_curves.csv") == STUDY_CSV_SHA256
+    assert sha("msd_curves.svg") == STUDY_SVG_SHA256
 
 
 def test_criterion_4_update_rules_match_finite_difference_gradients(fd_gradient):
@@ -103,17 +123,17 @@ def test_criterion_4_update_rules_match_finite_difference_gradients(fd_gradient)
         fd_data = fd_gradient(data_cost, w)
         shrink = rho * pnorm_like_gradient_term(w, p, eps)
 
-        delta = lms_step(state, x, d, cfg_lms).weights - w
+        delta = step(state, x, d, cfg_lms)[0].weights - w
         ok = ok and np.allclose(delta, -mu * fd_data, rtol=1e-6, atol=1e-9)
 
         full_cost = lambda v: data_cost(v) + 0.5 * gamma * np.dot(v, v)
-        delta = llms_step(state, x, d, cfg_llms).weights - w
+        delta = step(state, x, d, cfg_llms)[0].weights - w
         ok = ok and np.allclose(delta, -mu * fd_gradient(full_cost, w), rtol=1e-6, atol=1e-9)
 
-        delta = lp_like_lms_step(state, x, d, cfg_pl).weights - w
+        delta = step(state, x, d, cfg_pl)[0].weights - w
         ok = ok and np.allclose(delta, -mu * fd_data - shrink, rtol=1e-6, atol=1e-9)
 
-        delta = lp_like_llms_step(state, x, d, cfg_pll).weights - w
+        delta = step(state, x, d, cfg_pll)[0].weights - w
         ok = ok and np.allclose(
             delta, -mu * fd_data + mu * gamma * w - shrink, rtol=1e-6, atol=1e-9
         )
@@ -144,25 +164,25 @@ def test_criterion_5_degenerate_parameter_collapses():
         gamma = rng.uniform(0.001, 0.9)
         state = FilterState(w)
 
-        a = lp_like_lms_step(
+        a = step(
             state, x, d,
             AlgorithmConfig(Variant.LP_LIKE_LMS, mu=mu, rho_pl=0.0, p=0.5, epsilon_pl=10.0),
-        ).weights
-        b = lms_step(state, x, d, AlgorithmConfig(Variant.LMS, mu=mu)).weights
+        )[0].weights
+        b = step(state, x, d, AlgorithmConfig(Variant.LMS, mu=mu))[0].weights
         ok = ok and np.allclose(a, b, rtol=1e-12, atol=0.0)
 
-        a = lp_like_llms_step(
+        a = step(
             state, x, d,
             AlgorithmConfig(
                 Variant.LP_LIKE_LLMS, mu=mu, gamma=gamma, rho_pl=0.0, p=0.5,
                 epsilon_pl=10.0, leak_sign=LeakSign.MINUS,
             ),
-        ).weights
-        b = llms_step(state, x, d, AlgorithmConfig(Variant.LLMS, mu=mu, gamma=gamma)).weights
+        )[0].weights
+        b = step(state, x, d, AlgorithmConfig(Variant.LLMS, mu=mu, gamma=gamma))[0].weights
         ok = ok and np.allclose(a, b, rtol=1e-12, atol=0.0)
 
-        a = llms_step(state, x, d, AlgorithmConfig(Variant.LLMS, mu=mu, gamma=0.0)).weights
-        b = lms_step(state, x, d, AlgorithmConfig(Variant.LMS, mu=mu)).weights
+        a = step(state, x, d, AlgorithmConfig(Variant.LLMS, mu=mu, gamma=0.0))[0].weights
+        b = step(state, x, d, AlgorithmConfig(Variant.LMS, mu=mu))[0].weights
         ok = ok and np.allclose(a, b, rtol=1e-12, atol=0.0)
         if not ok:
             break

@@ -364,6 +364,15 @@ def test_steady_state_window_validation():
         steady_state(flat_curve(1.0), 0)
     with pytest.raises(ParameterError, match="window"):
         steady_state(flat_curve(1.0), 101)
+    # a window wider than the stored run tails has no across-run stderr
+    config = small_config(runs=5, iterations=300, steady_state_window=100)
+    curve = run_cell(Variant.LMS, 4, config)
+    assert steady_state(curve, 100).stderr > 0.0
+    with pytest.raises(ParameterError, match="window 250 .* 100 iterations wide"):
+        steady_state(curve, 250)
+    # a single run has no spread to report, whatever the window
+    single = small_config(runs=1, iterations=300, steady_state_window=100)
+    assert steady_state(run_cell(Variant.LMS, 4, single), 250).stderr == 0.0
 
 
 def test_steady_state_stderr_across_runs():
@@ -443,6 +452,8 @@ def test_experiment_config_defaults():
         {"noise_variance": -1e-3},
         {"master_seed": -1},
         {"master_seed": 2**64},
+        {"drive_variance": math.inf},
+        {"noise_variance": math.inf},
     ],
 )
 def test_experiment_config_validation(kw):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import re
 import warnings
 
@@ -14,23 +15,10 @@ from sparselms import (
     LeakSign,
     ParameterError,
     Variant,
-    instantaneous_error,
-    llms_step,
-    lms_step,
-    lp_like_llms_step,
-    lp_like_lms_step,
     pnorm_like,
     pnorm_like_gradient_term,
-    predict,
     step,
 )
-
-STEPS = {
-    Variant.LMS: lms_step,
-    Variant.LLMS: llms_step,
-    Variant.LP_LIKE_LMS: lp_like_lms_step,
-    Variant.LP_LIKE_LLMS: lp_like_llms_step,
-}
 
 
 def random_cfg(variant, rng, leak_sign=None):
@@ -43,32 +31,6 @@ def random_cfg(variant, rng, leak_sign=None):
         p=rng.uniform(0.05, 0.95),
         leak_sign=leak_sign,
     )
-
-
-# ---------------------------------------------------------------- predict
-
-
-def test_predict_zero_weights():
-    assert predict(FilterState.zeros(3), [5.0, -2.0, 1.0]) == 0.0
-
-
-def test_predict_unit_selector():
-    assert predict(FilterState([1.0, 0.0]), [3.0, 7.0]) == 3.0
-
-
-def test_predict_symmetry_cancellation():
-    assert predict(FilterState([0.5, -0.5]), [2.0, 2.0]) == 0.0
-
-
-def test_predict_length_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        predict(FilterState.zeros(3), [1.0, 2.0])
-
-
-def test_instantaneous_error():
-    assert instantaneous_error(1.0, 1.0) == 0.0
-    assert instantaneous_error(1.0, 0.0) == 1.0
-    assert instantaneous_error(-2.5, 0.5) == -3.0
 
 
 # ------------------------------------------------------------- pnorm_like
@@ -132,7 +94,7 @@ def test_gradient_term_shrinks_toward_zero():
 
 def test_lms_step_example():
     cfg = AlgorithmConfig(Variant.LMS, mu=0.015)
-    out = lms_step(FilterState.zeros(2), [1.0, 2.0], 1.0, cfg)
+    out = step(FilterState.zeros(2), [1.0, 2.0], 1.0, cfg)[0]
     np.testing.assert_allclose(out.weights, [0.015, 0.030], rtol=1e-15)
     assert out.iteration == 1
 
@@ -142,19 +104,19 @@ def test_lms_step_zero_error_fixed_point():
     w = np.array([0.3, -0.7])
     x = np.array([2.0, 1.0])
     d = float(np.dot(w, x))
-    out = lms_step(FilterState(w), x, d, cfg)
+    out = step(FilterState(w), x, d, cfg)[0]
     np.testing.assert_array_equal(out.weights, w)
 
 
 def test_llms_step_pure_leak():
     cfg = AlgorithmConfig(Variant.LLMS, mu=0.015, gamma=0.005)
-    out = llms_step(FilterState([1.0, 0.0]), [0.0, 0.0], 0.0, cfg)
+    out = step(FilterState([1.0, 0.0]), [0.0, 0.0], 0.0, cfg)[0]
     np.testing.assert_allclose(out.weights, [0.999925, 0.0], rtol=1e-15)
 
 
 def test_lp_like_lms_step_pure_shrink():
     cfg = AlgorithmConfig(Variant.LP_LIKE_LMS, mu=0.015, rho_pl=0.003, p=0.5, epsilon_pl=10.0)
-    out = lp_like_lms_step(FilterState([1.0]), [0.0], 0.0, cfg)
+    out = step(FilterState([1.0]), [0.0], 0.0, cfg)[0]
     np.testing.assert_allclose(out.weights, [1.0 - 0.003 * 0.5 / 11.0], rtol=1e-15)
 
 
@@ -163,7 +125,7 @@ def test_lp_like_llms_step_plus_leak():
         Variant.LP_LIKE_LLMS, mu=0.015, gamma=0.005, rho_pl=0.003, p=0.5, epsilon_pl=10.0
     )
     assert cfg.leak_sign is LeakSign.PLUS
-    out = lp_like_llms_step(FilterState([1.0, 0.0]), [0.0, 0.0], 0.0, cfg)
+    out = step(FilterState([1.0, 0.0]), [0.0, 0.0], 0.0, cfg)[0]
     np.testing.assert_allclose(out.weights, [1.000075 - 0.003 * 0.5 / 11.0, 0.0], rtol=1e-15)
 
 
@@ -177,29 +139,23 @@ def test_lp_like_llms_step_minus_leak():
         epsilon_pl=10.0,
         leak_sign=LeakSign.MINUS,
     )
-    out = lp_like_llms_step(FilterState([1.0, 0.0]), [0.0, 0.0], 0.0, cfg)
+    out = step(FilterState([1.0, 0.0]), [0.0, 0.0], 0.0, cfg)[0]
     np.testing.assert_allclose(out.weights, [0.999925, 0.0], rtol=1e-15)
 
 
 def test_zero_fixed_point_all_variants():
     rng = np.random.default_rng(0)
-    for variant, fn in STEPS.items():
+    for variant in Variant:
         cfg = random_cfg(variant, rng)
-        out = fn(FilterState.zeros(4), np.zeros(4), 0.0, cfg)
+        out = step(FilterState.zeros(4), np.zeros(4), 0.0, cfg)[0]
         np.testing.assert_array_equal(out.weights, np.zeros(4))
-
-
-def test_step_wrong_variant_rejected():
-    cfg = AlgorithmConfig(Variant.LMS, mu=0.01)
-    with pytest.raises(ParameterError, match="variant"):
-        llms_step(FilterState.zeros(2), [1.0, 1.0], 0.0, cfg)
 
 
 def test_step_divergence_reports_iteration():
     cfg = AlgorithmConfig(Variant.LMS, mu=1e300)
     state = FilterState(np.array([1e300]), iteration=7)
     with pytest.raises(DivergenceError) as exc:
-        lms_step(state, np.array([1e8]), 1e300, cfg)
+        step(state, np.array([1e8]), 1e300, cfg)
     assert exc.value.iteration == 7
 
 
@@ -227,28 +183,18 @@ def test_step_shrinkage_is_gradient_term(variant):
     np.testing.assert_array_equal(out.weights, expected)
 
 
-# -------------------------------------------------------------- dispatch
-
-
-@pytest.mark.parametrize("variant", list(Variant))
-def test_step_dispatch_matches_specific(variant):
-    rng = np.random.default_rng(11)
-    cfg = random_cfg(variant, rng)
-    state = FilterState(rng.standard_normal(6))
-    x = rng.standard_normal(6)
-    d = rng.standard_normal()
-    new_state, err = step(state, x, d, cfg)
-    direct = STEPS[variant](state, x, d, cfg)
-    np.testing.assert_array_equal(new_state.weights, direct.weights)
-    assert new_state.iteration == direct.iteration == 1
-    assert err == instantaneous_error(d, predict(state, x))
-
-
 @pytest.mark.parametrize("variant", list(Variant))
 def test_step_error_is_variant_independent(variant):
     cfg = random_cfg(variant, np.random.default_rng(5))
     _, err = step(FilterState.zeros(2), [1.0, 1.0], 3.0, cfg)
     assert err == 3.0
+    # the pre-update error e = d - w . x, from nonzero weights
+    rng = np.random.default_rng(11)
+    state = FilterState(rng.standard_normal(6))
+    x = rng.standard_normal(6)
+    d = rng.standard_normal()
+    _, err = step(state, x, d, cfg)
+    assert err == float(d) - float(np.dot(state.weights, x))
 
 
 # sha256 of the weights after every step, then the errors, of a 2000-step
@@ -328,14 +274,14 @@ def test_odd_symmetry_in_weights_and_desired():
     # flipping the sign of the state and the desired sample (regressor held
     # fixed) flips every update term, hence the updated weights
     rng = np.random.default_rng(21)
-    for variant, fn in STEPS.items():
+    for variant in Variant:
         for _ in range(50):
             cfg = random_cfg(variant, rng)
             w = rng.standard_normal(5)
             x = rng.standard_normal(5)
             d = rng.standard_normal()
-            pos = fn(FilterState(w), x, d, cfg)
-            neg = fn(FilterState(-w), x, -d, cfg)
+            pos = step(FilterState(w), x, d, cfg)[0]
+            neg = step(FilterState(-w), x, -d, cfg)[0]
             np.testing.assert_allclose(neg.weights, -pos.weights, rtol=1e-12, atol=1e-15)
 
 
@@ -349,13 +295,13 @@ def test_collapse_rho_zero_is_lms():
         x = rng.standard_normal(6)
         d = rng.standard_normal()
         mu = rng.uniform(0.001, 0.1)
-        a = lp_like_lms_step(
+        a = step(
             FilterState(w),
             x,
             d,
             AlgorithmConfig(Variant.LP_LIKE_LMS, mu=mu, rho_pl=0.0, p=0.5, epsilon_pl=10.0),
-        )
-        b = lms_step(FilterState(w), x, d, AlgorithmConfig(Variant.LMS, mu=mu))
+        )[0]
+        b = step(FilterState(w), x, d, AlgorithmConfig(Variant.LMS, mu=mu))[0]
         np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=0)
 
 
@@ -366,8 +312,8 @@ def test_collapse_gamma_zero_is_lms():
         x = rng.standard_normal(6)
         d = rng.standard_normal()
         mu = rng.uniform(0.001, 0.1)
-        a = llms_step(FilterState(w), x, d, AlgorithmConfig(Variant.LLMS, mu=mu, gamma=0.0))
-        b = lms_step(FilterState(w), x, d, AlgorithmConfig(Variant.LMS, mu=mu))
+        a = step(FilterState(w), x, d, AlgorithmConfig(Variant.LLMS, mu=mu, gamma=0.0))[0]
+        b = step(FilterState(w), x, d, AlgorithmConfig(Variant.LMS, mu=mu))[0]
         np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=0)
 
 
@@ -379,7 +325,7 @@ def test_collapse_minus_leak_rho_zero_is_llms():
         d = rng.standard_normal()
         mu = rng.uniform(0.001, 0.1)
         gamma = rng.uniform(0.001, 0.9)
-        a = lp_like_llms_step(
+        a = step(
             FilterState(w),
             x,
             d,
@@ -392,8 +338,8 @@ def test_collapse_minus_leak_rho_zero_is_llms():
                 epsilon_pl=10.0,
                 leak_sign=LeakSign.MINUS,
             ),
-        )
-        b = llms_step(FilterState(w), x, d, AlgorithmConfig(Variant.LLMS, mu=mu, gamma=gamma))
+        )[0]
+        b = step(FilterState(w), x, d, AlgorithmConfig(Variant.LLMS, mu=mu, gamma=gamma))[0]
         np.testing.assert_allclose(a.weights, b.weights, rtol=1e-12, atol=0)
 
 
@@ -407,7 +353,7 @@ def test_lms_update_matches_cost_gradient(fd_gradient):
         x = rng.standard_normal(8)
         d = rng.standard_normal()
         mu = 0.01
-        out = lms_step(FilterState(w), x, d, AlgorithmConfig(Variant.LMS, mu=mu))
+        out = step(FilterState(w), x, d, AlgorithmConfig(Variant.LMS, mu=mu))[0]
         grad = fd_gradient(lambda v: 0.5 * (d - np.dot(v, x)) ** 2, w)
         np.testing.assert_allclose(out.weights - w, -mu * grad, rtol=1e-6, atol=1e-9)
 
@@ -421,7 +367,7 @@ def test_llms_update_matches_cost_gradient(fd_gradient):
         d = rng.standard_normal()
         mu, gamma = 0.01, 0.3
         cfg = AlgorithmConfig(Variant.LLMS, mu=mu, gamma=gamma)
-        out = llms_step(FilterState(w), x, d, cfg)
+        out = step(FilterState(w), x, d, cfg)[0]
         cost = lambda v: 0.5 * (d - np.dot(v, x)) ** 2 + 0.5 * gamma * np.dot(v, v)
         np.testing.assert_allclose(
             out.weights - w, -mu * fd_gradient(cost, w), rtol=1e-6, atol=1e-9
@@ -434,6 +380,8 @@ def test_llms_update_matches_cost_gradient(fd_gradient):
 def test_config_rejects_negative_mu():
     with pytest.raises(ParameterError, match="mu"):
         AlgorithmConfig(Variant.LMS, mu=-0.01)
+    with pytest.raises(ParameterError, match="mu must be finite"):
+        AlgorithmConfig(Variant.LMS, mu=math.inf)
 
 
 def test_config_accepts_mu_zero():
@@ -459,11 +407,16 @@ def test_config_rejects_bad_p():
 def test_config_rejects_bad_rho():
     with pytest.raises(ParameterError, match="rho_pl"):
         AlgorithmConfig(Variant.LP_LIKE_LMS, mu=0.01, rho_pl=-1e-3)
+    with pytest.raises(ParameterError, match="rho_pl must be finite"):
+        AlgorithmConfig(Variant.LP_LIKE_LMS, mu=0.01, rho_pl=math.inf)
 
 
 def test_config_rejects_bad_epsilon():
     with pytest.raises(ParameterError, match="epsilon_pl"):
         AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.01, gamma=0.1, epsilon_pl=0.0)
+    # an infinite regularizer would switch the shrinkage off
+    with pytest.raises(ParameterError, match="epsilon_pl must be finite"):
+        AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.01, gamma=0.1, epsilon_pl=math.inf)
 
 
 def test_leak_sign_defaults():
@@ -536,8 +489,6 @@ def test_length_mismatch_names_both_shapes(x_shape):
         message = rf"shape \(16,\) but regressor has shape {re.escape(str(x_shape))}"
     with pytest.raises(error, match=message):
         step(state, x, 0.0, cfg)
-    with pytest.raises(error, match=message):
-        predict(state, x)
 
 
 def test_length_mismatch_names_both_lengths():
