@@ -5,7 +5,6 @@ live in :mod:`sparselms.emit`.
 """
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -95,23 +94,18 @@ def main(argv=None):
     args = build_arg_parser().parse_args(argv)
     try:
         text = Path(args.config).read_text() if args.config else ""
-        config = parse_config(text)
-        overrides = {}
-        if args.seed is not None:
-            overrides["master_seed"] = args.seed
-        if args.runs is not None:
-            overrides["runs"] = args.runs
-        if args.iterations is not None:
-            overrides["iterations"] = args.iterations
-            overrides["steady_state_window"] = min(
-                config.steady_state_window, args.iterations
-            )
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        config = parse_config(
+            text, master_seed=args.seed, runs=args.runs, iterations=args.iterations
+        )
         variants = _parse_algorithms(args.algorithms) if args.algorithms else None
         levels = _parse_sr_list(args.sr, config) if args.sr else None
 
-        curves = run_experiment(config, variants, levels)
+        try:
+            curves = run_experiment(config, variants, levels)
+        except MemoryError as err:  # numpy's message names the size it asked for
+            size = f"{config.runs} runs x {config.iterations} iterations"
+            print(f"error: out of memory for {size}: {err}", file=sys.stderr)
+            return 1
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         emit_csv(curves, outdir / "msd_curves.csv")

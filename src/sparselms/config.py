@@ -15,6 +15,13 @@ Hyperparameter keys at global scope (``mu``, ``gamma``, ``rho_pl``,
 ``epsilon_pl``, ``p``, ``leak_sign``) broadcast to every schedule entry of
 the variants they apply to.  A key may appear once per scope and a section
 once per document.
+
+An unset ``steady_state_window`` is ``min(500, iterations)``; a set one must
+satisfy ``1 <= window <= iterations``, whether ``iterations`` comes from the
+document or from ``--iterations``.  ``drive_variance`` scales the AR(1)
+drive, but each input is then rescaled to unit sample variance, so the key
+changes the results only by rounding; a value whose filtered input variance
+overflows or is subnormal raises ``ParameterError``.
 """
 
 import dataclasses
@@ -116,12 +123,14 @@ def _parse_document(text):
     return global_kv, sections
 
 
-def parse_config(text):
+def parse_config(text, *, master_seed=None, runs=None, iterations=None):
     """Parse a config document into a validated :class:`ExperimentConfig`.
 
     Missing keys fall back to the default study (16 taps, 8000 iterations,
     200 runs, the default parameter schedule).  Unknown keys and
     out-of-range values raise with the offending key or constraint named.
+    ``master_seed``, ``runs`` and ``iterations``, unless ``None``, win over
+    the document's keys of those names, as the command-line flags do.
     """
     global_kv, sections = _parse_document(text)
     fields = {}
@@ -156,6 +165,8 @@ def parse_config(text):
                 )
         section_cfg[(variant, level)] = entry
 
+    overrides = {"master_seed": master_seed, "runs": runs, "iterations": iterations}
+    fields.update((k, v) for k, v in overrides.items() if v is not None)
     levels = fields.get("sparsity_levels", (1, 4, 8, 16))
     needed = set(levels) | {lvl for (_, lvl) in section_cfg}
     table = default_schedule()

@@ -25,6 +25,7 @@ given run index (paired comparisons).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,13 +76,21 @@ def default_schedule():
     return sched
 
 
+def _check_integer(name, value):
+    """``value`` if it is an integer, numpy's included; else a ParameterError naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Full study description: protocol constants plus the parameter schedule.
 
     ``schedule`` maps ``(Variant, nonzero-count)`` to an
     :class:`~sparselms.filter_core.AlgorithmConfig`; ``None`` means
-    :func:`default_schedule`.
+    :func:`default_schedule`, and ``steady_state_window`` ``None`` means
+    ``min(500, iterations)``.
     """
 
     n_taps: int = 16
@@ -93,12 +102,19 @@ class ExperimentConfig:
     noise_variance: float = 1e-2
     master_seed: int = 1234
     schedule: dict = None
-    steady_state_window: int = 500
+    steady_state_window: int = None
 
     def __post_init__(self):
         if self.schedule is None:
             self.schedule = default_schedule()
-        self.sparsity_levels = tuple(int(s) for s in self.sparsity_levels)
+        for name in ("n_taps", "iterations", "runs", "master_seed"):
+            _check_integer(name, getattr(self, name))
+        self.sparsity_levels = tuple(
+            int(_check_integer("sparsity level", s)) for s in self.sparsity_levels
+        )
+        if self.steady_state_window is None:
+            self.steady_state_window = min(500, self.iterations)
+        _check_integer("steady_state_window", self.steady_state_window)
         if self.n_taps < 1:
             raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.iterations < 1:

@@ -105,7 +105,8 @@ def _ar1_unit_variance(drives, coeff):
     runs time-major, one numpy step per sample over all rows, on a
     transposed copy; each row's variance is then reduced over that row
     alone, so a row's result does not depend on how many rows share the
-    call.  Returns ``drives``.
+    call.  Returns ``drives``; a variance that overflows, or is zero or
+    subnormal, raises ``ParameterError``.
     """
     x = np.ascontiguousarray(drives.T)  # (length, rows): one step is one contiguous row
     prev = x[0]
@@ -113,9 +114,12 @@ def _ar1_unit_variance(drives, coeff):
         cur += coeff * prev
         prev = cur
     drives[...] = x.T
-    v = np.var(drives, axis=1)
-    if (v == 0.0).any():
-        raise ParameterError("cannot rescale a zero-variance realization to unit variance")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below by value
+        v = np.var(drives, axis=1)
+    if not np.isfinite(v).all():
+        raise ParameterError("the AR(1) input's sample variance overflows; lower drive_variance")
+    if (v < np.finfo(float).tiny).any():  # a subnormal variance has too few bits to rescale by
+        raise ParameterError("cannot rescale a zero- or subnormal-variance realization")
     drives /= np.sqrt(v)[:, None]
     return drives
 

@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -24,6 +28,7 @@ from sparselms import (
     run_cell,
     run_experiment,
 )
+from sparselms import experiment
 from sparselms.cli import build_arg_parser, main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -496,6 +501,164 @@ def test_main_iterations_override_clamps_window(tmp_path):
          "--out", str(tmp_path / "o")]
     )
     assert rc == 0
+
+
+def test_document_iterations_narrow_an_unset_window(tmp_path, capsys):
+    # the document's iterations resolve an unset window as --iterations does
+    conf = tmp_path / "study.conf"
+    conf.write_text("runs = 2\niterations = 100\n")
+    out = tmp_path / "o"
+    rc = main(["--config", str(conf), "--sr", "1/16", "--algorithms", "lms", "--summary",
+               "--out", str(out)])
+    assert rc == 0
+    _, rows = read_csv(out / "msd_curves.csv")
+    window_mean = np.mean([float(r[4]) for r in rows])  # all 100 iterations
+    assert f"{window_mean:>18.6e}" in capsys.readouterr().out
+
+
+def test_iterations_flag_does_not_shrink_a_set_window(tmp_path, capsys):
+    conf = tmp_path / "study.conf"
+    conf.write_text("runs = 1\nsteady_state_window = 500\n")
+    rc = main(["--config", str(conf), "--iterations", "60", "--sr", "1/16",
+               "--algorithms", "lms", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: steady_state_window must satisfy 1 <= window <= iterations=60, got 500\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_flags_override_the_document_inside_parse_config():
+    assert parse_config("runs = 5") == parse_config("", runs=5)
+    doc = "runs = 5\niterations = 40\nmaster_seed = 3\n"
+    assert parse_config(doc, runs=None, iterations=None, master_seed=None) == parse_config(doc)
+    config = parse_config(doc, runs=2, iterations=30, master_seed=9)
+    assert (config.runs, config.iterations, config.master_seed) == (2, 30, 9)
+    assert config.steady_state_window == 30
+
+
+def test_overflowing_drive_variance_fails_by_name(tmp_path, capsys):
+    conf = tmp_path / "study.conf"
+    conf.write_text("drive_variance = 1e308\n")
+    rc = main(["--config", str(conf), "--runs", "2", "--iterations", "30",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "drive_variance" in err
+    assert not (tmp_path / "o" / "msd_curves.csv").exists()
+
+
+def test_out_of_memory_fails_by_name(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 25.3 GiB for an array")
+
+    monkeypatch.setattr(experiment, "gen_cell_realizations", no_memory)
+    rc = main(["--runs", "3", "--iterations", "20", "--sr", "1/16",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: out of memory for 3 runs x 20 iterations: "
+        "Unable to allocate 25.3 GiB for an array\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+# Run fuzz: every size is bounded (runs <= 3, iterations <= 30, n_taps and
+# levels <= 32), so that no example allocates more than a few MB.
+SPECIAL = st.sampled_from(["0", "-1", "-2.5", "inf", "-inf", "nan", "1e308", "5e-324", "2.5"])
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+VALID = {
+    "runs": st.integers(1, 3).map(str),
+    "iterations": st.integers(1, 30).map(str),
+    "n_taps": st.integers(1, 32).map(str),
+    "steady_state_window": st.integers(1, 30).map(str),
+    "master_seed": st.integers(0, 2**64 - 1).map(str),
+    "ar_coeff": _floats(-0.99, 0.99),
+    "drive_variance": st.one_of(_floats(1e-6, 10.0), st.sampled_from(["1e-200", "1e200"])),
+    "noise_variance": st.one_of(_floats(0.0, 1.0), st.sampled_from(["1e-200", "1e200"])),
+    "mu": _floats(0.0, 2.0),
+    "gamma": _floats(0.0, 0.999),
+    "rho_pl": _floats(0.0, 1.0),
+    "epsilon_pl": _floats(1e-3, 100.0),
+    "p": _floats(0.01, 0.99),
+    "leak_sign": st.sampled_from(["plus", "minus"]),
+}
+FLAGS = {"--runs": "runs", "--iterations": "iterations", "--seed": "master_seed"}
+
+
+@st.composite
+def cli_runs(draw):
+    """A config document and the flags that run it: each value is absent, valid or bad."""
+
+    def value(key):  # None when absent; a bad value 1 time in 16
+        pick = draw(st.integers(0, 15))
+        if pick == 0:
+            return draw(SPECIAL)
+        return draw(VALID[key]) if pick > 8 else None
+
+    doc = {key: v for key in VALID if (v := value(key)) is not None}
+    n_taps = max(int(doc["n_taps"]), 1) if doc.get("n_taps", "").isdigit() else 16
+    if n_taps < 16 or draw(st.booleans()):
+        levels = draw(st.lists(st.integers(1, n_taps), min_size=1, max_size=4, unique=True))
+        if draw(st.integers(0, 15)) == 0:
+            levels.append(draw(st.sampled_from([0, -1, n_taps + 1, levels[0]])))
+        doc["sparsity_levels"] = ", ".join(map(str, levels))
+        sr = draw(st.sampled_from(levels))
+    else:
+        sr = 16
+    flags = []
+    for flag, key in FLAGS.items():
+        v = value(key)
+        if v is None and key != "master_seed" and key not in doc:
+            v = draw(VALID[key])  # the default 200 runs and 8000 iterations are too big
+        if v is not None:
+            flags += [flag, v]
+    if draw(st.booleans()):
+        flags += ["--sr", f"{sr}/{n_taps}" if draw(st.integers(0, 15)) else "0/16"]
+    if draw(st.booleans()):
+        rules = st.sampled_from(["lms", "llms,lp_like_llms", "lp_like_lms,lms", "rls"])
+        flags += ["--algorithms", draw(rules)]
+    flags += draw(st.lists(st.sampled_from(["--plot", "--db", "--summary"]), unique=True))
+    text = "".join(f"{key} = {v}\n" for key, v in doc.items())
+    return text, flags
+
+
+@settings(max_examples=500, deadline=None)
+@given(cli_runs())
+def test_run_fails_only_by_name(run):
+    text, flags = run
+    with tempfile.TemporaryDirectory() as tmp:
+        conf = Path(tmp) / "study.conf"
+        conf.write_text(text)
+        out = Path(tmp) / "o"
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                rc = main(["--config", str(conf), "--out", str(out), *flags])
+            except SystemExit as exc:  # argparse rejects a flag value
+                rc = exc.code
+        err = stderr.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        assert "Traceback" not in err
+        assert rc in (0, 1, 2), err
+        if rc == 0:
+            assert err == ""
+            _, rows = read_csv(out / "msd_curves.csv")
+            msd = np.array([float(r[4]) for r in rows])
+            assert np.isfinite(msd).all() and (msd >= 0).all()
+        else:
+            assert "error:" in err
+            if rc == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert not (out / "msd_curves.csv").exists()
 
 
 def test_there_is_no_worker_count(tmp_path, capsys):

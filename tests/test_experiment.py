@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -454,11 +455,55 @@ def test_experiment_config_defaults():
         {"master_seed": 2**64},
         {"drive_variance": math.inf},
         {"noise_variance": math.inf},
+        {"runs": math.inf},
+        {"runs": 2.5},
+        {"sparsity_levels": (1.5,)},
+        {"master_seed": math.inf},
+        {"master_seed": math.nan},
     ],
 )
 def test_experiment_config_validation(kw):
     with pytest.raises(ParameterError):
         ExperimentConfig(**kw)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        ({"n_taps": 16.0}, "n_taps must be an integer, got 16.0"),
+        ({"iterations": math.inf}, "iterations must be an integer, got inf"),
+        ({"runs": 2.5}, "runs must be an integer, got 2.5"),
+        ({"master_seed": math.nan}, "master_seed must be an integer, got nan"),
+        ({"steady_state_window": 50.0}, "steady_state_window must be an integer, got 50.0"),
+        ({"sparsity_levels": (1, 1.5)}, "sparsity level must be an integer, got 1.5"),
+    ],
+)
+def test_non_integer_field_is_named(kw, message):
+    with pytest.raises(ParameterError) as exc:
+        ExperimentConfig(**kw)
+    assert str(exc.value) == message
+
+
+def test_numpy_integers_are_integers():
+    config = ExperimentConfig(
+        n_taps=np.int64(16), sparsity_levels=(np.int32(1), np.uint8(4)),
+        iterations=np.int64(300), runs=np.int16(2), master_seed=np.uint64(2**64 - 1),
+        steady_state_window=np.int64(100),
+    )
+    assert config.sparsity_levels == (1, 4)
+    assert type(config.sparsity_levels[0]) is int
+
+
+def test_unset_window_is_min_of_500_and_iterations():
+    assert ExperimentConfig().steady_state_window == 500
+    assert ExperimentConfig(iterations=100).steady_state_window == 100
+    assert ExperimentConfig(iterations=700).steady_state_window == 500
+    assert ExperimentConfig(iterations=100, steady_state_window=30).steady_state_window == 30
+    # a config carries its resolved window: a copy with fewer iterations must fit it
+    config = ExperimentConfig(iterations=300)
+    assert dataclasses.replace(config, runs=3).steady_state_window == 300
+    with pytest.raises(ParameterError, match="iterations=200, got 300"):
+        dataclasses.replace(config, iterations=200)
 
 
 def test_msd_curve_rejects_bad_values():

@@ -132,6 +132,12 @@ def test_ar1_validation():
         gen_ar1_input(100, 0.8, 0.0, RngStream(0))
     with pytest.raises(ParameterError):
         gen_ar1_input(0, 0.8, 1e-3, RngStream(0))
+    # the input's sample variance overflows; the check itself must not warn
+    with pytest.raises(ParameterError, match="variance overflows"):
+        gen_ar1_input(100, 0.8, 1e308, RngStream(0))
+    # a subnormal sample variance would rescale the input by a value of few bits
+    with pytest.raises(ParameterError, match="subnormal"):
+        gen_ar1_input(100, 0.8, 1e-310, RngStream(0))
 
 
 # gen_ar1_input(8016, 0.8, 1e-3, RngStream(1234, 0)) as the earlier IIR-filter
@@ -221,6 +227,8 @@ def test_cell_builder_validation():
         dict(drive_variance=0.0),
         dict(noise_variance=-1.0),
         dict(master_seed=-1),
+        dict(drive_variance=1e308),
+        dict(drive_variance=5e-324),
     ):
         with pytest.raises(ParameterError):
             gen_cell_realizations(**{**good, **bad})
