@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises one."""
+
+import numbers
 
 
 class ParameterError(ValueError):
@@ -35,3 +37,10 @@ class DivergenceError(ArithmeticError):
         self.run = run
         self.variant = variant
         self.level = level
+
+
+def check_integer(name, value):
+    """``value`` if it is an integer, numpy's included; else a ParameterError naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return value

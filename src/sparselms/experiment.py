@@ -25,12 +25,17 @@ given run index (paired comparisons).
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, DivergenceError, ParameterError
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    DivergenceError,
+    ParameterError,
+    check_integer,
+)
 from .filter_core import AlgorithmConfig, Variant
 from .signal_gen import gen_cell_realizations
 
@@ -76,13 +81,6 @@ def default_schedule():
     return sched
 
 
-def _check_integer(name, value):
-    """``value`` if it is an integer, numpy's included; else a ParameterError naming it."""
-    if not isinstance(value, numbers.Integral):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 @dataclass
 class ExperimentConfig:
     """Full study description: protocol constants plus the parameter schedule.
@@ -108,13 +106,13 @@ class ExperimentConfig:
         if self.schedule is None:
             self.schedule = default_schedule()
         for name in ("n_taps", "iterations", "runs", "master_seed"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name))
         self.sparsity_levels = tuple(
-            int(_check_integer("sparsity level", s)) for s in self.sparsity_levels
+            int(check_integer("sparsity level", s)) for s in self.sparsity_levels
         )
         if self.steady_state_window is None:
             self.steady_state_window = min(500, self.iterations)
-        _check_integer("steady_state_window", self.steady_state_window)
+        check_integer("steady_state_window", self.steady_state_window)
         if self.n_taps < 1:
             raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.iterations < 1:
@@ -390,6 +388,9 @@ def run_experiment(config, variants=None, levels=None):
     """
     # a list: every level iterates it
     variants = list(Variant) if variants is None else list(variants)
+    for variant in variants:
+        if not isinstance(variant, Variant):
+            raise ParameterError(f"variants must be Variant members, got {variant!r}")
     if levels is None:
         levels = list(config.sparsity_levels)
     by_level = [_run_level(config, variants, s) for s in levels]
@@ -408,6 +409,7 @@ def steady_state(curve, window):
     single run).  A window wider than the stored per-run tails raises.
     """
     n = curve.values.shape[0]
+    check_integer("window", window)
     if not 1 <= window <= n:
         raise ParameterError(f"window must satisfy 1 <= window <= {n}, got {window}")
     mean = float(curve.values[-window:].mean())

@@ -103,6 +103,10 @@ class AlgorithmConfig:
     leak_sign: LeakSign | None = None
 
     def __post_init__(self):
+        if not isinstance(self.variant, Variant):
+            raise ParameterError(f"variant must be a Variant, got {self.variant!r}")
+        if not (self.leak_sign is None or isinstance(self.leak_sign, LeakSign)):
+            raise ParameterError(f"leak_sign must be a LeakSign or None, got {self.leak_sign!r}")
         if self.leak_sign is None:
             default = LeakSign.PLUS if self.variant in _READERS["leak_sign"] else LeakSign.MINUS
             object.__setattr__(self, "leak_sign", default)

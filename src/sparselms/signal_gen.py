@@ -8,9 +8,11 @@ cell's realizations at once, row r equal to what the single-run generators
 draw from ``RngStream(seed, r)``.
 """
 
+import math
+
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_integer
 
 __all__ = [
     "RngStream",
@@ -31,8 +33,8 @@ class RngStream:
     """
 
     def __init__(self, seed, stream_id=0):
-        seed = int(seed)
-        stream_id = int(stream_id)
+        seed = int(check_integer("seed", seed))
+        stream_id = int(check_integer("stream_id", stream_id))
         if not 0 <= seed < 2**64:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
         if stream_id < 0:
@@ -86,15 +88,15 @@ def _check_ar1(length, coeff, drive_variance):
         raise ParameterError(
             f"coeff must satisfy |coeff| < 1 (process is non-stationary otherwise), got {coeff}"
         )
-    if not drive_variance > 0:
-        raise ParameterError(f"drive_variance must be > 0, got {drive_variance}")
+    if not 0 < drive_variance < math.inf:
+        raise ParameterError(f"drive_variance must be finite and > 0, got {drive_variance}")
 
 
 def _check_noise(length, variance):
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
-    if not variance >= 0:
-        raise ParameterError(f"variance must be >= 0, got {variance}")
+    if not 0 <= variance < math.inf:
+        raise ParameterError(f"variance must be finite and >= 0, got {variance}")
 
 
 def _ar1_unit_variance(drives, coeff):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import sparselms
+from sparselms import ExperimentConfig, run_experiment, steady_state
 
 
 @pytest.fixture
@@ -31,3 +32,19 @@ def package_env():
     src = str(Path(sparselms.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+
+
+@pytest.fixture(scope="session")
+def study():
+    """The default study's steady-state summaries by cell, and its curves.
+
+    The full protocol (16 cells x 200 runs x 8000 iterations) runs once per
+    session; every test that reads it shares the one result.
+    """
+    config = ExperimentConfig()
+    curves = run_experiment(config)
+    summaries = {
+        (c.variant, c.sparsity_level): steady_state(c, config.steady_state_window)
+        for c in curves
+    }
+    return summaries, curves

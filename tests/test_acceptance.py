@@ -3,18 +3,17 @@
 Each test prints one ``[acceptance] criterion N: PASS|FAIL`` line (visible
 with ``pytest -s``; captured otherwise) and then asserts the same verdict.
 Criteria 1-3 and the stored output hashes share a single full default
-study (16 taps, 8000 iterations, 200 runs per cell) computed once per session.
+study (16 taps, 8000 iterations, 200 runs per cell), the session-scoped
+``study`` fixture of ``conftest.py``.
 """
 
 import hashlib
 import math
 
 import numpy as np
-import pytest
 
 from sparselms import (
     AlgorithmConfig,
-    ExperimentConfig,
     FilterState,
     LeakSign,
     RngStream,
@@ -26,9 +25,7 @@ from sparselms import (
     gen_sparse_system,
     pnorm_like,
     pnorm_like_gradient_term,
-    run_experiment,
     run_trial,
-    steady_state,
     step,
 )
 from sparselms.cli import main
@@ -42,18 +39,6 @@ def report(criterion, ok):
 def beats(a, b):
     """a's mean is strictly below b's by more than 2 combined standard errors."""
     return (b.mean - a.mean) > 2.0 * math.hypot(a.stderr, b.stderr)
-
-
-@pytest.fixture(scope="module")
-def study():
-    """The default study's steady-state summaries by cell, and its curves."""
-    config = ExperimentConfig()
-    curves = run_experiment(config)
-    summaries = {
-        (c.variant, c.sparsity_level): steady_state(c, config.steady_state_window)
-        for c in curves
-    }
-    return summaries, curves
 
 
 def test_criterion_1_best_steady_state_in_sparse_cells(study):

@@ -710,3 +710,56 @@ def test_imports_do_not_load_numpy_random(package_env):
         [sys.executable, "-c", script], env=package_env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TINY_RUN = ["--runs", "3", "--iterations", "40", "--sr", "1/16,4/16", "--plot", "--summary"]
+
+# The check is registered before main, so it runs after main's exit hook
+# (atexit is last-in first-out) and sees what that hook left.  main's hook
+# is counted through a stand-in for gc.freeze that calls the real one.
+EXIT_CHECK = """
+import atexit, gc, sys, types
+from sparselms import cli
+calls = []
+def freeze():
+    calls.append(None)
+    gc.freeze()
+cli.gc = types.SimpleNamespace(freeze=freeze)
+def check():
+    print(f"freeze calls: {{len(calls)}}, freeze count: {{gc.get_freeze_count()}}", file=sys.stderr)
+atexit.register(check)
+{body}
+"""
+
+
+def exit_report(stderr):
+    calls, count = re.fullmatch(r"freeze calls: (\d+), freeze count: (\d+)", stderr.strip()).groups()
+    return int(calls), int(count)
+
+
+def test_main_freezes_the_heap_at_exit_and_writes_everything(tmp_path, capsys, package_env):
+    child_out, own_out = tmp_path / "child", tmp_path / "own"
+    argv = TINY_RUN + ["--out", str(child_out)]
+    body = f"assert cli.main({argv!r}) == 0\nassert cli.main({argv!r}) == 0"
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_CHECK.format(body=body)],
+        env=package_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls, count = exit_report(proc.stderr)
+    assert calls == 1  # two main calls, one hook
+    assert count > 0
+    assert main(TINY_RUN + ["--out", str(own_out)]) == 0
+    own_stdout = capsys.readouterr().out
+    assert proc.stdout == 2 * own_stdout.replace(str(own_out), str(child_out))
+    for name in ("msd_curves.csv", "msd_curves.svg"):
+        assert (child_out / name).read_bytes() == (own_out / name).read_bytes()
+
+
+def test_importing_the_cli_leaves_exit_alone(package_env):
+    proc = subprocess.run(
+        [sys.executable, "-c", EXIT_CHECK.format(body="cli.build_arg_parser()")],
+        env=package_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert exit_report(proc.stderr) == (0, 0)

@@ -141,6 +141,14 @@ def test_run_trial_divergence_carries_iteration():
 # ----------------------------------------------------------------- run_cell
 
 
+def test_variants_must_be_variant_members():
+    # a name is no Variant; it raised a bare AttributeError before
+    with pytest.raises(ParameterError, match="variants must be Variant members, got 'lms'"):
+        run_experiment(small_config(), ["lms"], [1])
+    with pytest.raises(ParameterError, match="got 'llms'"):
+        run_cell("llms", 1, small_config())
+
+
 def test_run_cell_single_run_equals_trial():
     config = small_config(runs=1)
     curve = run_cell(Variant.LMS, 4, config)
@@ -365,6 +373,9 @@ def test_steady_state_window_validation():
         steady_state(flat_curve(1.0), 0)
     with pytest.raises(ParameterError, match="window"):
         steady_state(flat_curve(1.0), 101)
+    with pytest.raises(ParameterError, match="window must be an integer, got 2.5"):
+        steady_state(flat_curve(1.0), 2.5)
+    assert steady_state(flat_curve(1.0), np.int64(10)).mean == 1.0
     # a window wider than the stored run tails has no across-run stderr
     config = small_config(runs=5, iterations=300, steady_state_window=100)
     curve = run_cell(Variant.LMS, 4, config)

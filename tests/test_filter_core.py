@@ -427,6 +427,21 @@ def test_leak_sign_defaults():
     assert explicit.leak_sign is LeakSign.MINUS
 
 
+def test_config_rejects_a_name_for_the_variant():
+    # a string is no Variant: "lp_like_llms" stepped like plain LMS before
+    with pytest.raises(ParameterError, match="variant must be a Variant, got 'lp_like_llms'"):
+        AlgorithmConfig("lp_like_llms", gamma=0.005, rho_pl=0.003)
+
+
+def test_config_rejects_a_name_for_the_leak_sign():
+    # "plus" is no LeakSign: it gave the MINUS multiplier before
+    with pytest.raises(ParameterError, match="leak_sign must be a LeakSign or None, got 'plus'"):
+        AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.5, gamma=0.015, leak_sign="plus")
+    cfg = AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.5, gamma=0.015)
+    with pytest.raises(ParameterError, match="got 'minus'"):
+        dataclasses.replace(cfg, leak_sign="minus")
+
+
 def test_replace_recomputes_the_per_config_constants():
     cfg = AlgorithmConfig(Variant.LLMS, mu=0.1, gamma=0.2)
     assert cfg.leak_mult == 1.0 - 0.1 * 0.2

@@ -35,6 +35,13 @@ def test_rng_stream_validation():
         RngStream(2**64)
     with pytest.raises(ParameterError):
         RngStream(0, -1)
+    # int() would truncate these, so two seeds would share one stream
+    with pytest.raises(ParameterError, match="seed must be an integer, got 1234.9"):
+        RngStream(1234.9)
+    with pytest.raises(ParameterError, match="stream_id must be an integer, got 2.5"):
+        RngStream(1234, 2.5)
+    a = RngStream(np.uint64(77), np.int64(3)).generator.standard_normal(8)
+    np.testing.assert_array_equal(a, RngStream(77, 3).generator.standard_normal(8))
 
 
 # ----------------------------------------------------------- sparse system
@@ -132,6 +139,9 @@ def test_ar1_validation():
         gen_ar1_input(100, 0.8, 0.0, RngStream(0))
     with pytest.raises(ParameterError):
         gen_ar1_input(0, 0.8, 1e-3, RngStream(0))
+    # rejected before any arithmetic, which would warn
+    with pytest.raises(ParameterError, match="drive_variance must be finite"):
+        gen_ar1_input(10, 0.8, np.inf, RngStream(0))
     # the input's sample variance overflows; the check itself must not warn
     with pytest.raises(ParameterError, match="variance overflows"):
         gen_ar1_input(100, 0.8, 1e308, RngStream(0))
@@ -229,6 +239,8 @@ def test_cell_builder_validation():
         dict(master_seed=-1),
         dict(drive_variance=1e308),
         dict(drive_variance=5e-324),
+        dict(drive_variance=np.inf),
+        dict(noise_variance=np.inf),
     ):
         with pytest.raises(ParameterError):
             gen_cell_realizations(**{**good, **bad})
@@ -276,6 +288,8 @@ def test_noise_validation():
         gen_gaussian_noise(100, -1e-3, RngStream(0))
     with pytest.raises(ParameterError):
         gen_gaussian_noise(0, 1e-3, RngStream(0))
+    with pytest.raises(ParameterError, match="variance must be finite"):
+        gen_gaussian_noise(5, np.inf, RngStream(0))
 
 
 # --------------------------------------------------------------- regressor
