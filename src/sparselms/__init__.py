@@ -37,7 +37,6 @@ from .experiment import (
     SteadyStateSummary,
     default_schedule,
     msd,
-    run_cell,
     run_experiment,
     run_trial,
     steady_state,
@@ -72,7 +71,6 @@ __all__ = [
     "pnorm_like",
     "pnorm_like_gradient_term",
     "regressor_at",
-    "run_cell",
     "run_experiment",
     "run_trial",
     "steady_state",

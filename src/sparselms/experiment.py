@@ -7,9 +7,10 @@ a fixed number of iterations, and records the squared weight deviation
 averaged pointwise over runs.
 
 The sparsity level is the unit of work: its realizations and desired
-signal are built once and shared by every requested variant.  Every
-requested cell runs before an error is raised; the error is that of the
-first failing cell in variant-major order, the order of the curves.
+signal are built once and shared by every requested variant.  A request
+is checked whole before any level is built; then every requested cell
+runs before a divergence is raised, that of the first diverging cell in
+variant-major order, the order of the curves.
 
 The engine advances a variant's runs together on (taps x runs) arrays, the
 input reversed in time so that each regressor ``x[k], x[k-1], ...`` is a
@@ -25,6 +26,7 @@ given run index (paired comparisons).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +48,6 @@ __all__ = [
     "default_schedule",
     "msd",
     "run_trial",
-    "run_cell",
     "run_experiment",
     "steady_state",
 ]
@@ -58,6 +59,16 @@ _TRACE_ABORT = 1e6
 # Shrinkage weight per nonzero-tap count, and leakage factor per count.
 _RHO_PL = {1: 0.003, 4: 0.002, 8: 0.0015, 16: 0.0001}
 _GAMMA = {1: 0.005, 4: 0.005, 8: 0.005, 16: 0.0005}
+
+
+def _check_level(level, n_taps):
+    """``level`` as an int if it is an integer in ``1..n_taps``; else a ParameterError."""
+    level = int(check_integer("sparsity level", level))
+    if not 1 <= level <= n_taps:
+        raise ParameterError(
+            f"sparsity level must satisfy 1 <= level <= n_taps={n_taps}, got {level}"
+        )
+    return level
 
 
 def default_schedule():
@@ -86,8 +97,8 @@ class ExperimentConfig:
     """Full study description: protocol constants plus the parameter schedule.
 
     ``schedule`` maps ``(Variant, nonzero-count)`` to an
-    :class:`~sparselms.filter_core.AlgorithmConfig`; ``None`` means
-    :func:`default_schedule`, and ``steady_state_window`` ``None`` means
+    :class:`~sparselms.filter_core.AlgorithmConfig` of that variant; ``None``
+    means :func:`default_schedule`, and ``steady_state_window`` ``None`` means
     ``min(500, iterations)``.
     """
 
@@ -105,16 +116,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.schedule is None:
             self.schedule = default_schedule()
+        if not isinstance(self.schedule, dict):
+            raise ParameterError(f"schedule must be a dict, got {self.schedule!r}")
+        for key, entry in self.schedule.items():
+            variant, level = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+            if not (isinstance(variant, Variant) and isinstance(level, numbers.Integral)):
+                raise ParameterError(f"schedule key must be (Variant, integer level), got {key!r}")
+            if not (isinstance(entry, AlgorithmConfig) and entry.variant is variant):
+                raise ParameterError(
+                    f"schedule entry ({variant.value}, {level}) must be an AlgorithmConfig "
+                    f"of variant {variant.value}, got {entry!r}"
+                )
         for name in ("n_taps", "iterations", "runs", "master_seed"):
             check_integer(name, getattr(self, name))
-        self.sparsity_levels = tuple(
-            int(check_integer("sparsity level", s)) for s in self.sparsity_levels
-        )
+        if self.n_taps < 1:
+            raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
+        self.sparsity_levels = tuple(_check_level(s, self.n_taps) for s in self.sparsity_levels)
         if self.steady_state_window is None:
             self.steady_state_window = min(500, self.iterations)
         check_integer("steady_state_window", self.steady_state_window)
-        if self.n_taps < 1:
-            raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
         if self.iterations < 1:
             raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
         if self.runs < 1:
@@ -128,11 +148,6 @@ class ExperimentConfig:
             raise ParameterError(
                 f"sparsity levels must not repeat, got {self.sparsity_levels}"
             )
-        for s in self.sparsity_levels:
-            if not 1 <= s <= self.n_taps:
-                raise ParameterError(
-                    f"sparsity level must satisfy 1 <= level <= n_taps={self.n_taps}, got {s}"
-                )
         if not abs(self.ar_coeff) < 1:
             raise ParameterError(f"ar_coeff must satisfy |ar_coeff| < 1, got {self.ar_coeff}")
         if not 0 < self.drive_variance < math.inf:
@@ -153,8 +168,9 @@ class ExperimentConfig:
 class MsdCurve:
     """Per-iteration mean squared deviation for one (variant, sparsity) cell.
 
-    ``run_tails`` holds each run's trailing trace window (runs x window) so
-    that :func:`steady_state` can report a standard error across runs.
+    ``run_tails`` holds each run's trailing trace window (runs x window), or
+    is ``None``, so that :func:`steady_state` can report a standard error
+    across runs.
     """
 
     variant: Variant
@@ -170,6 +186,13 @@ class MsdCurve:
             raise ParameterError("values must be a nonempty 1-d array")
         if not np.isfinite(self.values).all() or (self.values < 0).any():
             raise ParameterError("MSD values must be finite and nonnegative")
+        if self.run_tails is not None:
+            self.run_tails = np.asarray(self.run_tails, dtype=float)
+            if self.run_tails.ndim != 2 or self.run_tails.shape[0] != self.runs:
+                raise ParameterError(
+                    f"run_tails must be 2-d with runs={self.runs} rows, "
+                    f"got shape {self.run_tails.shape}"
+                )
 
 
 @dataclass(frozen=True)
@@ -302,14 +325,10 @@ def run_trial(system, x, noise, cfg, iterations):
     return traces[0]
 
 
-def _run_variant(config, variant, level, signal):
+def _run_variant(config, cfg, level, signal):
     """One cell on its level's shared signal: engine, checks, run-order mean."""
-    key = (variant, level)
-    if key not in config.schedule:
-        raise ConfigError(
-            f"schedule has no entry for ({variant.value}, {level}/{config.n_taps})"
-        )
-    traces, bad = _run_batch(*signal, config.schedule[key])
+    variant = cfg.variant
+    traces, bad = _run_batch(*signal, cfg)
     failed = (bad >= 0) | (traces.max(axis=1) > _TRACE_ABORT)
     if failed.any():
         r = int(np.argmax(failed))
@@ -328,14 +347,13 @@ def _run_variant(config, variant, level, signal):
     return MsdCurve(variant, level, config.n_taps, mean, config.runs, tails)
 
 
-def _run_level(config, variants, level):
-    """Run the requested variants at one sparsity level on shared realizations.
+def _run_level(config, cfgs, level):
+    """Run one sparsity level's cells, one per ``AlgorithmConfig``, on shared realizations.
 
     The level's realizations and desired signal are built once and every
-    variant's engine reads them.  Returns one outcome per variant, in
-    order: its :class:`MsdCurve`, or the ``ConfigError`` or
-    ``DivergenceError`` that cell raised, so that the caller decides which
-    error to report.
+    cell's engine reads them.  Returns one outcome per cell, in order: its
+    :class:`MsdCurve`, or the ``DivergenceError`` it raised, so that the
+    caller decides which error to report.
     """
     n = config.iterations
     systems, xs, noises = gen_cell_realizations(
@@ -345,46 +363,36 @@ def _run_level(config, variants, level):
     signal = _batch_signal(systems, xs, noises, n)
     del systems, xs, noises  # the engine's time-major copies replace them
     outcomes = []
-    for variant in variants:
+    for cfg in cfgs:
         try:
-            outcomes.append(_run_variant(config, variant, level, signal))
-        except (ConfigError, DivergenceError) as err:
+            outcomes.append(_run_variant(config, cfg, level, signal))
+        except DivergenceError as err:
             # without its traceback, whose frames would keep the cell's
             # (runs x iterations) traces alive until the error is raised
             outcomes.append(err.with_traceback(None))
     return outcomes
 
 
-def run_cell(variant, sparsity_level, config):
-    """Average one (variant, sparsity) cell over ``config.runs`` runs.
+def run_experiment(config, variants=None, levels=None):
+    """Run the requested cells; defaults to every variant at every configured level.
 
-    This is :func:`run_experiment` for a single cell.  Run r's realizations
-    come from ``RngStream(master_seed, r)`` and depend only on r, so every
-    variant's cell sees the same systems, inputs, and noise.  All runs
-    advance together and traces are summed in run-index order.
+    This is the one way to run cells, and it checks the whole request
+    before it builds any level.  Run r's realizations come from
+    ``RngStream(master_seed, r)``, so every variant sees the same systems,
+    inputs and noise.  A level's realizations and desired signal are built
+    once and shared by its cells; a cell's curve is the same, bit for bit,
+    whichever other cells are requested.  Curves come back variant-major
+    (all levels of the first variant, then the next).
 
     Raises
     ------
+    ParameterError
+        If a variant is not a ``Variant`` or a level not an integer in ``1..n_taps``.
     ConfigError
-        If the schedule has no entry for the cell.
+        Naming the first cell, in variant-major order, without a schedule entry.
     DivergenceError
-        At the first diverging run in run-index order, naming the run,
-        iteration, variant and level.
-    """
-    return run_experiment(config, [variant], [sparsity_level])[0]
-
-
-def run_experiment(config, variants=None, levels=None):
-    """Run all requested cells; defaults to every variant at every level.
-
-    The sparsity level is the unit of work: each level's realizations and
-    desired signal are built once and shared by all requested variants,
-    and every cell runs before any error is raised.  A cell's curve is the
-    same, bit for bit, whichever other cells are requested.  Curves come back
-    variant-major (all levels of the first variant, then the next).  If
-    cells fail, the error raised is that of the first failing cell in the
-    same variant-major order, which is the cell :func:`run_cell` calls
-    made one by one in that order would have stopped at.
+        Once every cell has run: the first diverging cell's in variant-major
+        order, naming its first diverging run and the iteration.
     """
     # a list: every level iterates it
     variants = list(Variant) if variants is None else list(variants)
@@ -392,8 +400,14 @@ def run_experiment(config, variants=None, levels=None):
         if not isinstance(variant, Variant):
             raise ParameterError(f"variants must be Variant members, got {variant!r}")
     if levels is None:
-        levels = list(config.sparsity_levels)
-    by_level = [_run_level(config, variants, s) for s in levels]
+        levels = config.sparsity_levels
+    else:
+        levels = [_check_level(s, config.n_taps) for s in levels]
+    missing = [(v, s) for v in variants for s in levels if (v, s) not in config.schedule]
+    if missing:
+        v, s = missing[0]
+        raise ConfigError(f"schedule has no entry for ({v.value}, {s}/{config.n_taps})")
+    by_level = [_run_level(config, [config.schedule[v, s] for v in variants], s) for s in levels]
     outcomes = [outcome for row in zip(*by_level) for outcome in row]
     for outcome in outcomes:
         if isinstance(outcome, Exception):

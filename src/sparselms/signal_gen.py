@@ -54,6 +54,8 @@ def _gen(rng):
 
 
 def _check_system(n_taps, n_nonzero):
+    check_integer("n_taps", n_taps)
+    check_integer("n_nonzero", n_nonzero)
     if n_taps < 1:
         raise ParameterError(f"n_taps must be >= 1, got {n_taps}")
     if not 1 <= n_nonzero <= n_taps:
@@ -82,6 +84,7 @@ def gen_sparse_system(n_taps, n_nonzero, rng):
 
 
 def _check_ar1(length, coeff, drive_variance):
+    check_integer("length", length)
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if not abs(coeff) < 1:
@@ -93,6 +96,7 @@ def _check_ar1(length, coeff, drive_variance):
 
 
 def _check_noise(length, variance):
+    check_integer("length", length)
     if length < 1:
         raise ParameterError(f"length must be >= 1, got {length}")
     if not 0 <= variance < math.inf:
@@ -160,7 +164,7 @@ def gen_cell_realizations(
     draws of ``length`` (the sampler consumes its stream sequentially).
     All drives are filtered together.
     """
-    if runs < 1:
+    if check_integer("runs", runs) < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
     _check_system(n_taps, n_nonzero)
     _check_ar1(length, coeff, drive_variance)

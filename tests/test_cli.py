@@ -25,7 +25,6 @@ from sparselms import (
     emit_csv,
     emit_plot,
     parse_config,
-    run_cell,
     run_experiment,
 )
 from sparselms import experiment
@@ -673,7 +672,7 @@ def test_there_is_no_worker_count(tmp_path, capsys):
     with pytest.raises(TypeError, match="workers"):
         run_experiment(config, workers=2)
     with pytest.raises(TypeError, match="workers"):
-        run_cell(Variant.LMS, 1, config, workers=2)
+        run_experiment(config, [Variant.LMS], [1], workers=2)[0]
 
 
 def test_readme_lists_every_cli_option():
@@ -683,6 +682,18 @@ def test_readme_lists_every_cli_option():
     listed = set(re.findall(r"`(--[a-z-]+)", useful.group(1)))
     options = {opt for action in build_arg_parser()._actions for opt in action.option_strings}
     assert listed == options - {"-h", "--help"}
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S)
+    assert block, "README has no python block under '## Library'"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block.group(1), "README.md", "exec"), {})
+    deviation, summary = out.getvalue().splitlines()
+    assert 0.0 <= float(deviation) < 1.0
+    assert summary.startswith("SteadyStateSummary(variant=<Variant.LP_LIKE_LLMS")
 
 
 def test_module_entry_point_runs_without_warnings(package_env):

@@ -24,7 +24,6 @@ from sparselms import (
     gen_sparse_system,
     msd,
     regressor_at,
-    run_cell,
     run_experiment,
     run_trial,
     steady_state,
@@ -138,7 +137,7 @@ def test_run_trial_divergence_carries_iteration():
     assert exc.value.iteration is not None and exc.value.iteration >= 0
 
 
-# ----------------------------------------------------------------- run_cell
+# -------------------------------------------------------------------- cells
 
 
 def test_variants_must_be_variant_members():
@@ -146,12 +145,12 @@ def test_variants_must_be_variant_members():
     with pytest.raises(ParameterError, match="variants must be Variant members, got 'lms'"):
         run_experiment(small_config(), ["lms"], [1])
     with pytest.raises(ParameterError, match="got 'llms'"):
-        run_cell("llms", 1, small_config())
+        run_experiment(small_config(), ["llms"], [1])[0]
 
 
 def test_run_cell_single_run_equals_trial():
     config = small_config(runs=1)
-    curve = run_cell(Variant.LMS, 4, config)
+    curve = run_experiment(config, [Variant.LMS], [4])[0]
     stream = RngStream(config.master_seed, 0)
     system = gen_sparse_system(16, 4, stream)
     x = gen_ar1_input(216, 0.8, 1e-3, stream)
@@ -166,7 +165,7 @@ def test_run_cell_rows_equal_run_trial(variant):
     # a run's trace must not depend on the other runs in its batch
     config = small_config(runs=7)
     cfg = config.schedule[(variant, 4)]
-    curve = run_cell(variant, 4, config)
+    curve = run_experiment(config, [variant], [4])[0]
     acc = np.zeros(200)
     for r in range(7):
         stream = RngStream(config.master_seed, r)
@@ -182,13 +181,13 @@ def test_run_cell_rows_equal_run_trial(variant):
 def test_run_cell_frozen_filter_curve_is_nonzero_count():
     sched = {(Variant.LMS, 2): AlgorithmConfig(Variant.LMS, mu=0.0)}
     config = small_config(runs=4, sparsity_levels=(2,), schedule=sched)
-    curve = run_cell(Variant.LMS, 2, config)
+    curve = run_experiment(config, [Variant.LMS], [2])[0]
     np.testing.assert_array_equal(curve.values, np.full(200, 2.0))
 
 
 def test_run_cell_mean_is_exact_run_average():
     config = small_config(runs=5)
-    curve = run_cell(Variant.LP_LIKE_LMS, 1, config)
+    curve = run_experiment(config, [Variant.LP_LIKE_LMS], [1])[0]
     acc = np.zeros(200)
     for r in range(5):
         stream = RngStream(config.master_seed, r)
@@ -207,22 +206,22 @@ def test_run_cell_pairs_realizations_across_variants():
         (Variant.LLMS, 3): AlgorithmConfig(Variant.LLMS, mu=0.0, gamma=0.0),
     }
     config = small_config(runs=6, sparsity_levels=(3,), schedule=sched)
-    a = run_cell(Variant.LMS, 3, config)
-    b = run_cell(Variant.LLMS, 3, config)
+    a = run_experiment(config, [Variant.LMS], [3])[0]
+    b = run_experiment(config, [Variant.LLMS], [3])[0]
     np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_run_cell_missing_schedule_entry():
     config = small_config()
     with pytest.raises(ConfigError, match="schedule"):
-        run_cell(Variant.LMS, 5, config)
+        run_experiment(config, [Variant.LMS], [5])[0]
 
 
 def test_run_cell_divergence_names_run():
     sched = {(Variant.LMS, 4): AlgorithmConfig(Variant.LMS, mu=1e200)}
     config = small_config(runs=2, schedule=sched)
     with pytest.raises(DivergenceError) as exc:
-        run_cell(Variant.LMS, 4, config)
+        run_experiment(config, [Variant.LMS], [4])[0]
     assert exc.value.run == 0
     assert "run 0" in str(exc.value)
 
@@ -258,7 +257,7 @@ def test_run_cell_reports_first_diverging_run_in_run_order(monkeypatch):
     k1, k2 = step_divergence(amplitude[1]), step_divergence(amplitude[2])
     assert k1 is not None and k2 is not None and k2 < k1
     with pytest.raises(DivergenceError) as exc:
-        run_cell(Variant.LMS, 4, config)
+        run_experiment(config, [Variant.LMS], [4])[0]
     assert exc.value.run == 1
     assert exc.value.iteration == k1
     assert str(exc.value) == f"weights became non-finite at iteration {k1} (run 1, lms 4/4)"
@@ -274,7 +273,7 @@ def test_run_cell_aborts_on_runaway_but_finite_trace():
     }
     config = small_config(runs=1, iterations=2000, schedule=sched)
     with pytest.raises(DivergenceError, match="exceeded"):
-        run_cell(Variant.LP_LIKE_LLMS, 4, config)
+        run_experiment(config, [Variant.LP_LIKE_LLMS], [4])[0]
 
 
 def test_run_experiment_covers_requested_cells():
@@ -296,12 +295,12 @@ def test_run_experiment_cells_equal_run_cell(variants):
     expected = [(v, s) for v in (variants or Variant) for s in (1, 4)]
     assert [(c.variant, c.sparsity_level) for c in curves] == expected
     for curve, (v, s) in zip(curves, expected):
-        alone = run_cell(v, s, config)
+        alone = run_experiment(config, [v], [s])[0]
         np.testing.assert_array_equal(curve.values, alone.values)
         np.testing.assert_array_equal(curve.run_tails, alone.run_tails)
 
 
-def test_run_experiment_builds_each_level_once(monkeypatch):
+def count_level_builds(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -309,10 +308,60 @@ def test_run_experiment_builds_each_level_once(monkeypatch):
         return gen_cell_realizations(*args)
 
     monkeypatch.setattr(experiment, "gen_cell_realizations", counted)
+    return calls
+
+
+def test_run_experiment_builds_each_level_once(monkeypatch):
+    calls = count_level_builds(monkeypatch)
     config = small_config(runs=2, sparsity_levels=(1, 4, 8))
     curves = run_experiment(config)
     assert len(curves) == 12
     assert calls == [1, 4, 8]
+
+
+def test_missing_schedule_entry_fails_before_any_level_is_built(monkeypatch):
+    # the missing entry is the request's last cell, variant-major
+    calls = count_level_builds(monkeypatch)
+    sched = default_schedule()
+    del sched[(Variant.LP_LIKE_LLMS, 8)]
+    config = small_config(runs=2, sparsity_levels=(1, 8), schedule=sched)
+    with pytest.raises(ConfigError) as exc:
+        run_experiment(config)
+    assert str(exc.value) == "schedule has no entry for (lp_like_llms, 8/16)"
+    assert calls == []
+
+
+def test_first_missing_schedule_entry_is_reported_in_variant_major_order():
+    sched = default_schedule()
+    del sched[(Variant.LLMS, 1)], sched[(Variant.LMS, 8)]
+    config = small_config(runs=2, sparsity_levels=(1, 8), schedule=sched)
+    with pytest.raises(ConfigError, match=r"\(lms, 8/16\)"):
+        run_experiment(config)
+
+
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ((1, 4, 20), "sparsity level must satisfy 1 <= level <= n_taps=16, got 20"),
+        ((0,), "sparsity level must satisfy 1 <= level <= n_taps=16, got 0"),
+        ((1.5,), "sparsity level must be an integer, got 1.5"),
+        (("1",), "sparsity level must be an integer, got '1'"),
+    ],
+    ids=["above-taps", "zero", "float", "str"],
+)
+def test_bad_level_fails_before_any_level_is_built(monkeypatch, levels, message):
+    calls = count_level_builds(monkeypatch)
+    with pytest.raises(ParameterError) as exc:
+        run_experiment(small_config(runs=2), [Variant.LMS], levels)
+    assert str(exc.value) == message
+    assert calls == []
+
+
+def test_numpy_integer_levels_are_ints():
+    config = small_config(runs=2, iterations=20, steady_state_window=5)
+    [curve] = run_experiment(config, [Variant.LMS], [np.int64(4)])
+    assert type(curve.sparsity_level) is int
+    assert curve.sparsity_level == 4
 
 
 def test_run_experiment_raises_first_diverging_cell_in_variant_major_order():
@@ -322,7 +371,7 @@ def test_run_experiment_raises_first_diverging_cell_in_variant_major_order():
     sched[(Variant.LLMS, 1)] = AlgorithmConfig(Variant.LLMS, mu=1e200, gamma=0.005)
     config = small_config(runs=2, sparsity_levels=(1, 8), schedule=sched)
     with pytest.raises(DivergenceError) as alone:
-        run_cell(Variant.LMS, 8, config)
+        run_experiment(config, [Variant.LMS], [8])[0]
     with pytest.raises(DivergenceError) as exc:
         run_experiment(config)
     err, ref = exc.value, alone.value
@@ -337,8 +386,8 @@ def test_noiseless_steady_state_is_much_lower_than_noisy():
     quiet = small_config(
         runs=3, iterations=4000, steady_state_window=500, noise_variance=0.0
     )
-    m_noisy = steady_state(run_cell(Variant.LMS, 4, noisy), 500).mean
-    m_quiet = steady_state(run_cell(Variant.LMS, 4, quiet), 500).mean
+    m_noisy = steady_state(run_experiment(noisy, [Variant.LMS], [4])[0], 500).mean
+    m_quiet = steady_state(run_experiment(quiet, [Variant.LMS], [4])[0], 500).mean
     assert m_quiet * 10 < m_noisy
 
 
@@ -378,13 +427,13 @@ def test_steady_state_window_validation():
     assert steady_state(flat_curve(1.0), np.int64(10)).mean == 1.0
     # a window wider than the stored run tails has no across-run stderr
     config = small_config(runs=5, iterations=300, steady_state_window=100)
-    curve = run_cell(Variant.LMS, 4, config)
+    curve = run_experiment(config, [Variant.LMS], [4])[0]
     assert steady_state(curve, 100).stderr > 0.0
     with pytest.raises(ParameterError, match="window 250 .* 100 iterations wide"):
         steady_state(curve, 250)
     # a single run has no spread to report, whatever the window
     single = small_config(runs=1, iterations=300, steady_state_window=100)
-    assert steady_state(run_cell(Variant.LMS, 4, single), 250).stderr == 0.0
+    assert steady_state(run_experiment(single, [Variant.LMS], [4])[0], 250).stderr == 0.0
 
 
 def test_steady_state_stderr_across_runs():
@@ -398,8 +447,8 @@ def test_steady_state_stderr_across_runs():
 def test_steady_state_stderr_shrinks_with_run_count():
     few = small_config(runs=50, iterations=300, steady_state_window=100)
     many = small_config(runs=100, iterations=300, steady_state_window=100)
-    se_few = steady_state(run_cell(Variant.LMS, 4, few), 100).stderr
-    se_many = steady_state(run_cell(Variant.LMS, 4, many), 100).stderr
+    se_few = steady_state(run_experiment(few, [Variant.LMS], [4])[0], 100).stderr
+    se_many = steady_state(run_experiment(many, [Variant.LMS], [4])[0], 100).stderr
     ratio = se_few / se_many
     assert math.sqrt(2) * 0.8 <= ratio <= math.sqrt(2) * 1.2
 
@@ -515,6 +564,50 @@ def test_unset_window_is_min_of_500_and_iterations():
     assert dataclasses.replace(config, runs=3).steady_state_window == 300
     with pytest.raises(ParameterError, match="iterations=200, got 300"):
         dataclasses.replace(config, iterations=200)
+
+
+@pytest.mark.parametrize(
+    "schedule, message",
+    [
+        (
+            {(Variant.LMS, 1): AlgorithmConfig(Variant.LLMS, gamma=0.9)},
+            "schedule entry (lms, 1) must be an AlgorithmConfig of variant lms, got ",
+        ),
+        (
+            {(Variant.LMS, 1): {"mu": 0.01}},
+            "schedule entry (lms, 1) must be an AlgorithmConfig of variant lms, got {'mu': 0.01}",
+        ),
+        (
+            {("lms", 1): AlgorithmConfig(Variant.LMS)},
+            "schedule key must be (Variant, integer level), got ('lms', 1)",
+        ),
+        (
+            {(Variant.LMS, 1.0): AlgorithmConfig(Variant.LMS)},
+            "schedule key must be (Variant, integer level), got (<Variant.LMS: 'lms'>, 1.0)",
+        ),
+        (
+            {Variant.LMS: AlgorithmConfig(Variant.LMS)},
+            "schedule key must be (Variant, integer level), got <Variant.LMS: 'lms'>",
+        ),
+        ([AlgorithmConfig(Variant.LMS)], "schedule must be a dict, got ["),
+    ],
+    ids=["other-variant", "not-a-config", "name-key", "float-level", "bare-variant", "list"],
+)
+def test_schedule_entries_are_checked(schedule, message):
+    # an entry of another variant used to run that rule under this label
+    with pytest.raises(ParameterError) as exc:
+        small_config(sparsity_levels=(1,), schedule=schedule)
+    assert str(exc.value).startswith(message)
+
+
+def test_msd_curve_run_tails_have_one_row_per_run():
+    values = np.full(10, 2.0)
+    for tails in (np.ones((5, 2)), np.ones((2, 2)), np.ones(3), np.ones((3, 2, 1))):
+        with pytest.raises(ParameterError, match=r"run_tails must be 2-d with runs=3 rows"):
+            MsdCurve(Variant.LMS, 1, 16, values, runs=3, run_tails=tails)
+    curve = MsdCurve(Variant.LMS, 1, 16, values, runs=3, run_tails=[[1.0], [2.0], [3.0]])
+    assert curve.run_tails.shape == (3, 1)
+    assert MsdCurve(Variant.LMS, 1, 16, values, runs=3).run_tails is None
 
 
 def test_msd_curve_rejects_bad_values():

@@ -89,6 +89,11 @@ def test_sparse_system_validation():
         gen_sparse_system(16, 0, RngStream(0))
     with pytest.raises(ParameterError):
         gen_sparse_system(0, 1, RngStream(0))
+    # non-integer counts raised numpy's bare TypeError
+    with pytest.raises(ParameterError, match="n_nonzero must be an integer, got 1.5"):
+        gen_sparse_system(16, 1.5, RngStream(0))
+    with pytest.raises(ParameterError, match="n_taps must be an integer, got 16.0"):
+        gen_sparse_system(16.0, 1, RngStream(0))
 
 
 # -------------------------------------------------------------- AR(1) input
@@ -139,6 +144,8 @@ def test_ar1_validation():
         gen_ar1_input(100, 0.8, 0.0, RngStream(0))
     with pytest.raises(ParameterError):
         gen_ar1_input(0, 0.8, 1e-3, RngStream(0))
+    with pytest.raises(ParameterError, match="length must be an integer, got 10.5"):
+        gen_ar1_input(10.5, 0.8, 1e-3, RngStream(0))
     # rejected before any arithmetic, which would warn
     with pytest.raises(ParameterError, match="drive_variance must be finite"):
         gen_ar1_input(10, 0.8, np.inf, RngStream(0))
@@ -241,6 +248,9 @@ def test_cell_builder_validation():
         dict(drive_variance=5e-324),
         dict(drive_variance=np.inf),
         dict(noise_variance=np.inf),
+        dict(runs=2.5),
+        dict(n_nonzero=1.5),
+        dict(length=10.5),
     ):
         with pytest.raises(ParameterError):
             gen_cell_realizations(**{**good, **bad})
@@ -288,6 +298,8 @@ def test_noise_validation():
         gen_gaussian_noise(100, -1e-3, RngStream(0))
     with pytest.raises(ParameterError):
         gen_gaussian_noise(0, 1e-3, RngStream(0))
+    with pytest.raises(ParameterError, match="length must be an integer, got 5.5"):
+        gen_gaussian_noise(5.5, 1e-3, RngStream(0))
     with pytest.raises(ParameterError, match="variance must be finite"):
         gen_gaussian_noise(5, np.inf, RngStream(0))
 
