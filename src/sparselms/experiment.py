@@ -181,6 +181,8 @@ class MsdCurve:
     run_tails: np.ndarray = None
 
     def __post_init__(self):
+        if check_integer("runs", self.runs) < 1:
+            raise ParameterError(f"runs must be >= 1, got {self.runs}")
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.shape[0] < 1:
             raise ParameterError("values must be a nonempty 1-d array")
@@ -259,7 +261,7 @@ def _run_batch(xr, sT, desired, cfg):
     """
     iterations, runs = desired.shape
     n_taps = sT.shape[0]
-    mu, leak_mult, shrink = cfg.mu, cfg.leak_mult, cfg._shrink
+    mu, leak_mult, shrink = cfg._operands
     hist = np.empty((_BLOCK, n_taps, runs))
     w = np.zeros((n_taps, runs))
     traces = np.empty((runs, iterations))
@@ -274,11 +276,11 @@ def _run_batch(xr, sT, desired, cfg):
                 e = desired[b + j] - _left_fold(w * xk)
                 e *= mu
                 new_w = np.multiply(xk, e, hist[j])
-                new_w += w if leak_mult == 1.0 else leak_mult * w  # 1.0 * w is w, bit for bit
+                new_w += w if leak_mult is None else leak_mult * w  # 1.0 * w is w, bit for bit
                 if shrink is not None:  # rho_pl * (p * sign(w) / (eps_pl + |w|**(1-p)))
-                    rho_pl, p, eps_pl = shrink
+                    rho_pl, p, one_minus_p, eps_pl = shrink
                     s = p * np.sign(w)
-                    s /= eps_pl + np.abs(w) ** (1.0 - p)
+                    s /= eps_pl + np.abs(w) ** one_minus_p
                     s *= rho_pl
                     new_w -= s
                 w = new_w
@@ -309,7 +311,7 @@ def run_trial(system, x, noise, cfg, iterations):
     system = np.ascontiguousarray(system, dtype=float)
     x = np.ascontiguousarray(x, dtype=float)
     noise = np.asarray(noise, dtype=float)
-    if iterations < 1:
+    if check_integer("iterations", iterations) < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     if x.shape[0] < iterations or noise.shape[0] < iterations:
         raise DimensionMismatchError(

@@ -17,6 +17,7 @@ comes from ``AlgorithmConfig.variant``.  With ``e = d - w . x``:
 returns a new one with the pre-update error, never mutating its inputs.
 """
 
+import contextvars
 import enum
 import math
 import numbers
@@ -126,8 +127,8 @@ class AlgorithmConfig:
                     f"epsilon_pl must be finite and > 0, got {self.epsilon_pl}"
                 )
 
-    # Per-config constants of step(), computed on first use and cached on
-    # the instance; dataclasses.replace builds a new instance, so they follow.
+    # Per-config constants of step() and the engine, computed on first use and
+    # cached on the instance; dataclasses.replace builds a new instance, so they follow.
     @cached_property
     def leak_mult(self):
         """Weight multiplier of the leak.
@@ -142,9 +143,20 @@ class AlgorithmConfig:
         return 1.0 - self.mu * self.gamma
 
     @cached_property
-    def _shrink(self):
-        """``(rho_pl, p, epsilon_pl)`` for the shrinkage variants, else None."""
-        return (self.rho_pl, self.p, self.epsilon_pl) if self.variant in _SHRINKING else None
+    def _operands(self):
+        """``(mu, leak_mult, shrink)`` as 0-d float64 arrays, which numpy
+        applies to an array faster than Python floats.
+
+        ``leak_mult`` is None for a multiplier of 1, as ``1.0 * w`` is ``w``;
+        ``shrink`` is ``(rho_pl, p, 1 - p, epsilon_pl)`` for the shrinkage
+        variants, else None.
+        """
+        leak_mult = None if self.leak_mult == 1.0 else np.array(self.leak_mult)
+        shrink = None
+        if self.variant in _SHRINKING:
+            constants = (self.rho_pl, self.p, 1.0 - self.p, self.epsilon_pl)
+            shrink = tuple(np.array(c) for c in constants)
+        return np.array(self.mu), leak_mult, shrink
 
 
 @dataclass(frozen=True)
@@ -179,9 +191,7 @@ class FilterState:
         """step()'s result, built without ``__post_init__``: ``weights`` is a
         fresh 1-d float64 array that step() made."""
         state = object.__new__(cls)
-        fields = state.__dict__
-        fields["weights"] = weights
-        fields["iteration"] = iteration
+        state.__dict__.update(weights=weights, iteration=iteration)
         return state
 
 
@@ -234,15 +244,23 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
     return np.where(w == 0.0, 0.0, g)
 
 
-# Overflow on the way to non-finite weights is divergence, which the finite
-# check raises as DivergenceError; numpy's warnings for it are noise.  (As a
-# decorator, errstate costs about half of a ``with`` block per call.)
-@np.errstate(over="ignore", invalid="ignore")
+# step()'s floating-point error state, built once.  Overflow on the way to
+# non-finite weights is divergence, which the finite check raises as
+# DivergenceError; numpy's warnings for it are noise, and a caller's
+# np.errstate does not reach inside.  Each call enters its own copy, which
+# takes O(1): two threads may not enter one context at once.
+_QUIET = contextvars.Context()
+_QUIET.run(np.seterr, over="ignore", invalid="ignore")
+
+
 def step(state, x, desired, cfg):
     """Advance one sample with the configured rule.
 
     Leak, gradient correction, then the optional shrinkage, in the engine's
     order; a leak multiplier of 1 is skipped, as ``1.0 * w`` is ``w``.
+    Runs in its own numpy error state: overflow and invalid values are
+    ignored and reported as DivergenceError, whatever the caller's
+    ``np.errstate``.
 
     Returns
     -------
@@ -250,6 +268,10 @@ def step(state, x, desired, cfg):
         The new state and the pre-update error ``e = desired - w . x``,
         which is the same for every variant.
     """
+    return _QUIET.copy().run(_step, state, x, desired, cfg)
+
+
+def _step(state, x, desired, cfg):
     try:  # free on Python 3.11+ unless it raises
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
@@ -258,15 +280,25 @@ def step(state, x, desired, cfg):
     if w.shape != x.shape:
         _check_lengths(w, x)
     e = float(desired) - float(w.dot(x))
-    new_w = (cfg.mu * e) * x
-    leak_mult = cfg.leak_mult
-    new_w += w if leak_mult == 1.0 else leak_mult * w  # IEEE addition commutes
-    shrink = cfg._shrink
+    # mu*e as Python floats, far cheaper than with a 0-d mu; then the array
+    # first, so ndarray.__mul__ runs without float.__mul__'s detour
+    new_w = x * (cfg.mu * e)
+    _, leak_mult, shrink = cfg._operands
+    new_w += w if leak_mult is None else leak_mult * w  # IEEE addition commutes
     if shrink is not None:
-        rho_pl, p, epsilon_pl = shrink
-        # pnorm_like_gradient_term inline: epsilon_pl > 0 (AlgorithmConfig
-        # checks it), so sgn(0) = 0 already makes the w_i = 0 element 0
-        new_w -= rho_pl * (p * np.sign(w) / (epsilon_pl + np.abs(w) ** (1 - p)))
+        # rho_pl * (p * sgn(w) / (epsilon_pl + |w|**(1-p))), in place; in-place
+        # ``**= 0.5`` is still numpy's square root.  epsilon_pl > 0
+        # (AlgorithmConfig checks it), so sgn(0) = 0 already makes the w_i = 0
+        # element 0
+        rho_pl, p, one_minus_p, epsilon_pl = shrink
+        s = np.sign(w)
+        s *= p
+        d = np.abs(w)
+        d **= one_minus_p
+        d += epsilon_pl
+        s /= d
+        s *= rho_pl
+        new_w -= s
     # a sum is finite only if every term is, in any summation order; finite
     # weights can still overflow the sum, so only a non-finite sum needs the
     # elementwise check.  Summing Python floats is cheaper than a numpy reduce.

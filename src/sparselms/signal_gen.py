@@ -190,7 +190,8 @@ def regressor_at(x, k, n_taps):
     Indices before the start of the signal contribute 0.
     """
     x = np.asarray(x, dtype=float)
-    if n_taps < 1:
+    check_integer("k", k)
+    if check_integer("n_taps", n_taps) < 1:
         raise ParameterError(f"n_taps must be >= 1, got {n_taps}")
     if not 0 <= k < x.shape[0]:
         raise IndexError(f"index {k} out of bounds for signal of length {x.shape[0]}")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,8 @@ def test_run_trial_rejects_short_signals():
         run_trial(system, x[:100], noise, cfg, 200)
     with pytest.raises(DimensionMismatchError):
         run_trial(system, x, noise[:100], cfg, 200)
+    with pytest.raises(ParameterError, match="iterations must be an integer, got 5.5"):
+        run_trial(system, x, noise, cfg, 5.5)
 
 
 def test_run_trial_divergence_carries_iteration():
@@ -608,6 +611,18 @@ def test_msd_curve_run_tails_have_one_row_per_run():
     curve = MsdCurve(Variant.LMS, 1, 16, values, runs=3, run_tails=[[1.0], [2.0], [3.0]])
     assert curve.run_tails.shape == (3, 1)
     assert MsdCurve(Variant.LMS, 1, 16, values, runs=3).run_tails is None
+
+
+@pytest.mark.parametrize(
+    "runs, message",
+    [(0, "runs must be >= 1, got 0"), (-2, "runs must be >= 1, got -2"),
+     (2.5, "runs must be an integer, got 2.5"), ("3", "runs must be an integer, got '3'")],
+)
+def test_msd_curve_runs_is_an_integer_of_at_least_one(runs, message):
+    # a hand-built curve with runs=2.5 used to give steady_state a stderr of 0.0
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        MsdCurve(Variant.LMS, 1, 16, np.full(3, 1.0), runs=runs)
+    assert MsdCurve(Variant.LMS, 1, 16, np.full(3, 1.0), runs=np.int64(2)).runs == 2
 
 
 def test_msd_curve_rejects_bad_values():

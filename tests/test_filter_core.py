@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ def test_step_shrinkage_is_gradient_term(variant):
     np.testing.assert_array_equal(out.weights, expected)
 
 
+@pytest.mark.parametrize("variant", [Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS])
+def test_step_shrinkage_at_p_half_is_a_square_root(variant):
+    # numpy takes |w|**0.5 as a square root; a small epsilon_pl lets its last
+    # bit reach the weights, which epsilon_pl = 10 mostly rounds away
+    cfg = AlgorithmConfig(variant, mu=0.015, gamma=0.0, rho_pl=0.5, epsilon_pl=1e-3, p=0.5)
+    w = np.random.default_rng(8).standard_normal(4096) * 10.0 ** np.arange(-8, 8, 1 / 256)
+    out = step(FilterState(w), np.zeros(w.size), 0.0, cfg)[0]
+    expected = w - 0.5 * (0.5 * np.sign(w) / (1e-3 + np.sqrt(np.abs(w))))
+    np.testing.assert_array_equal(out.weights, expected)
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_step_error_is_variant_independent(variant):
     cfg = random_cfg(variant, np.random.default_rng(5))
@@ -220,7 +232,16 @@ LOOP_SHA256 = {
 }
 
 
-def loop_sha256(variant, leak_sign, steps=2000, n_taps=16):
+# the same loop at the default study's p = 0.5, epsilon_pl = 10 and
+# rho_pl = 0.003, where numpy takes |w|**(1-p) as a square root rather than
+# through its general power loop; taken before step() shrank in place
+SQRT_LOOP_SHA256 = {
+    Variant.LP_LIKE_LMS: "b5f53d37d7e0f93aee30718753597b8c10d6a7643c91674363a3ecaf4a052d17",
+    Variant.LP_LIKE_LLMS: "dc32139ba9b542731e44daec32b06c458945b9a609c585f4f41adb10069a0813",
+}
+
+
+def loop_sha256(variant, leak_sign, steps=2000, n_taps=16, p=0.3, epsilon_pl=0.5, rho_pl=0.002):
     rng = np.random.default_rng(2015)
     system = np.zeros(n_taps)
     system[[2, 9]] = (1.0, -1.0)
@@ -230,7 +251,8 @@ def loop_sha256(variant, leak_sign, steps=2000, n_taps=16):
     regressors = np.lib.stride_tricks.sliding_window_view(x, n_taps)[:, ::-1]
     desired = regressors @ system + 0.1 * rng.standard_normal(steps)
     cfg = AlgorithmConfig(
-        variant, mu=0.02, gamma=0.01, rho_pl=0.002, epsilon_pl=0.5, p=0.3, leak_sign=leak_sign
+        variant, mu=0.02, gamma=0.01, rho_pl=rho_pl, epsilon_pl=epsilon_pl, p=p,
+        leak_sign=leak_sign,
     )
     state = FilterState.zeros(n_taps)
     h = hashlib.sha256()
@@ -246,6 +268,42 @@ def loop_sha256(variant, leak_sign, steps=2000, n_taps=16):
 @pytest.mark.parametrize("case", list(LOOP_SHA256), ids=lambda c: f"{c[0].value}-{c[1]}")
 def test_step_loop_bits_are_stored(case):
     assert loop_sha256(*case) == LOOP_SHA256[case]
+
+
+@pytest.mark.parametrize("variant", list(SQRT_LOOP_SHA256), ids=lambda v: v.value)
+def test_step_loop_bits_at_p_half_are_stored(variant):
+    digest = loop_sha256(variant, None, p=0.5, epsilon_pl=10.0, rho_pl=0.003)
+    assert digest == SQRT_LOOP_SHA256[variant]
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_step_runs_in_its_own_error_state(variant):
+    # a caller's np.errstate does not reach inside step(): here w . x
+    # underflows, which all="raise" used to turn into FloatingPointError
+    cfg = AlgorithmConfig(variant, mu=1e-10)
+    tiny = (FilterState(np.full(4, 1e-300)), np.full(4, 1e-300), 0.0, cfg)
+    outside = step(*tiny)
+    loop = loop_sha256(variant, None)
+    with np.errstate(all="raise"):
+        raising = np.geterr()
+        inside = step(*tiny)
+        assert loop_sha256(variant, None) == loop
+        with pytest.raises(DivergenceError):
+            step(FilterState([1e300]), [1e8], 1e300, AlgorithmConfig(variant, mu=1e300))
+        assert np.geterr() == raising
+    np.testing.assert_array_equal(inside[0].weights, outside[0].weights)
+    assert (inside[0].iteration, inside[1]) == (outside[0].iteration, outside[1])
+
+
+def test_threads_step_to_the_serial_bits():
+    # each call enters its own copy of step()'s error state; threads that
+    # entered one shared context would raise RuntimeError
+    def run(_):
+        return loop_sha256(Variant.LP_LIKE_LLMS, None, steps=4000)
+
+    serial = run(None)
+    with ThreadPoolExecutor(4) as pool:
+        assert list(pool.map(run, range(4))) == [serial] * 4
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -336,3 +336,7 @@ def test_regressor_bounds():
         regressor_at([1.0, 2.0], -1, 2)
     with pytest.raises(ParameterError):
         regressor_at([1.0, 2.0], 0, 0)
+    with pytest.raises(ParameterError, match="n_taps must be an integer, got 2.5"):
+        regressor_at([1.0, 2.0], 0, 2.5)
+    with pytest.raises(ParameterError, match="k must be an integer, got 1.0"):
+        regressor_at([1.0, 2.0], 1.0, 2)
