@@ -36,28 +36,18 @@ _INT_KEYS = {"n_taps", "iterations", "runs", "steady_state_window", "master_seed
 _FLOAT_KEYS = {"ar_coeff", "drive_variance", "noise_variance"}
 
 
-def _coerce_int(key, value, lineno):
+def _coerce(key, value, lineno, kind=float):
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(
-            f"line {lineno}: key '{key}' expects an integer, got {value!r}"
-        ) from None
-
-
-def _coerce_float(key, value, lineno):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: key '{key}' expects a number, got {value!r}"
-        ) from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"line {lineno}: key '{key}' expects {what}, got {value!r}") from None
 
 
 def _coerce_hyperparameter(key, value, lineno):
     """A key of ``filter_core._READERS``: a LeakSign for ``leak_sign``, else a float."""
     if key != "leak_sign":
-        return _coerce_float(key, value, lineno)
+        return _coerce(key, value, lineno)
     try:
         return LeakSign(value)
     except ValueError:
@@ -145,9 +135,9 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
                     f"integers, got {value!r}"
                 ) from None
         elif key in _INT_KEYS:
-            fields[key] = _coerce_int(key, value, lineno)
+            fields[key] = _coerce(key, value, lineno, int)
         elif key in _FLOAT_KEYS:
-            fields[key] = _coerce_float(key, value, lineno)
+            fields[key] = _coerce(key, value, lineno)
         elif key in _READERS:
             broadcast[key] = _coerce_hyperparameter(key, value, lineno)
         else:

@@ -1,6 +1,10 @@
-"""Exception types shared across the package, and the integer check that raises one."""
+"""Exception types, the integer check and the numeric error state shared by the package."""
 
+import contextvars
+import functools
 import numbers
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -44,3 +48,20 @@ def check_integer(name, value):
     if not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+# The floating-point error state of step(), the engine and the AR(1) rescale:
+# overflow and invalid values are reported by value (DivergenceError, or the
+# AR(1) ParameterError), underflow is ignored, divide keeps numpy's default, and
+# a caller's np.errstate or np.seterr does not reach inside.  Each call enters
+# its own copy, in O(1), as two threads may not enter one context at once.
+QUIET = contextvars.Context()
+QUIET.run(np.seterr, over="ignore", invalid="ignore", under="ignore")
+
+
+def quietly(func):
+    """``func``, run in its own copy of ``QUIET`` on every call."""
+    @functools.wraps(func)
+    def run_quietly(*args, **kwargs):
+        return QUIET.copy().run(func, *args, **kwargs)
+    return run_quietly

@@ -37,6 +37,7 @@ from .errors import (
     DivergenceError,
     ParameterError,
     check_integer,
+    quietly,
 )
 from .filter_core import AlgorithmConfig, Variant
 from .signal_gen import gen_cell_realizations
@@ -233,6 +234,7 @@ def _left_fold(a):
     return acc
 
 
+@quietly
 def _batch_signal(systems, xs, noises, iterations):
     """The engine's ``(xr, systems.T, desired)`` from row-per-run realizations.
 
@@ -245,13 +247,12 @@ def _batch_signal(systems, xs, noises, iterations):
     xr[:iterations] = xs[:, iterations - 1 :: -1].T
     sT = np.ascontiguousarray(systems.T)
     desired = noises[:, :iterations].T.copy()
-    # huge inputs overflow here; the engine reports that as divergence
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_taps):
-            desired += sT[i] * xr[i : i + iterations][::-1]
+    for i in range(n_taps):
+        desired += sT[i] * xr[i : i + iterations][::-1]
     return xr, sT, desired
 
 
+@quietly
 def _run_batch(xr, sT, desired, cfg):
     """Adapt every run of a batch (a column of each argument) from zero weights.
 
@@ -266,33 +267,31 @@ def _run_batch(xr, sT, desired, cfg):
     w = np.zeros((n_taps, runs))
     traces = np.empty((runs, iterations))
     bad = np.full(runs, -1)
-    # overflow is divergence, which the finite check reports by value
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b in range(0, iterations, _BLOCK):
-            n = min(_BLOCK, iterations - b)
-            for j in range(n):
-                m = iterations - 1 - b - j
-                xk = xr[m : m + n_taps]
-                e = desired[b + j] - _left_fold(w * xk)
-                e *= mu
-                new_w = np.multiply(xk, e, hist[j])
-                new_w += w if leak_mult is None else leak_mult * w  # 1.0 * w is w, bit for bit
-                if shrink is not None:  # rho_pl * (p * sign(w) / (eps_pl + |w|**(1-p)))
-                    rho_pl, p, one_minus_p, eps_pl = shrink
-                    s = p * np.sign(w)
-                    s /= eps_pl + np.abs(w) ** one_minus_p
-                    s *= rho_pl
-                    new_w -= s
-                w = new_w
-            diff = sT - hist[:n]
-            diff *= diff
-            tr = _left_fold(diff)
-            traces[:, b : b + n] = tr.T
-            # finite traces imply finite weights; else find each run's first bad iteration
-            if not np.isfinite(tr).all():
-                finite = np.isfinite(hist[:n]).all(axis=1)
-                first = ~finite.all(axis=0) & (bad < 0)
-                bad[first] = b + np.argmin(finite[:, first], axis=0)
+    for b in range(0, iterations, _BLOCK):
+        n = min(_BLOCK, iterations - b)
+        for j in range(n):
+            m = iterations - 1 - b - j
+            xk = xr[m : m + n_taps]
+            e = desired[b + j] - _left_fold(w * xk)
+            e *= mu
+            new_w = np.multiply(xk, e, hist[j])
+            new_w += w if leak_mult is None else leak_mult * w  # 1.0 * w is w, bit for bit
+            if shrink is not None:  # rho_pl * (p * sign(w) / (eps_pl + |w|**(1-p)))
+                rho_pl, p, one_minus_p, eps_pl = shrink
+                s = p * np.sign(w)
+                s /= eps_pl + np.abs(w) ** one_minus_p
+                s *= rho_pl
+                new_w -= s
+            w = new_w
+        diff = sT - hist[:n]
+        diff *= diff
+        tr = _left_fold(diff)
+        traces[:, b : b + n] = tr.T
+        # finite traces imply finite weights; else find each run's first bad iteration
+        if not np.isfinite(tr).all():
+            finite = np.isfinite(hist[:n]).all(axis=1)
+            first = ~finite.all(axis=0) & (bad < 0)
+            bad[first] = b + np.argmin(finite[:, first], axis=0)
     return traces, bad
 
 

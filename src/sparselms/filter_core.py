@@ -17,7 +17,6 @@ comes from ``AlgorithmConfig.variant``.  With ``e = d - w . x``:
 returns a new one with the pre-update error, never mutating its inputs.
 """
 
-import contextvars
 import enum
 import math
 import numbers
@@ -26,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError, ParameterError
+from .errors import QUIET, DimensionMismatchError, DivergenceError, ParameterError
 
 __all__ = [
     "Variant",
@@ -149,13 +148,14 @@ class AlgorithmConfig:
 
         ``leak_mult`` is None for a multiplier of 1, as ``1.0 * w`` is ``w``;
         ``shrink`` is ``(rho_pl, p, 1 - p, epsilon_pl)`` for the shrinkage
-        variants, else None.
+        variants, else None, with ``1 - p`` a float: numpy takes ``w ** 0.5``
+        as a square root, but not with a 0-d exponent.
         """
         leak_mult = None if self.leak_mult == 1.0 else np.array(self.leak_mult)
         shrink = None
         if self.variant in _SHRINKING:
-            constants = (self.rho_pl, self.p, 1.0 - self.p, self.epsilon_pl)
-            shrink = tuple(np.array(c) for c in constants)
+            rho_pl, p, epsilon_pl = (np.array(c) for c in (self.rho_pl, self.p, self.epsilon_pl))
+            shrink = (rho_pl, p, 1.0 - self.p, epsilon_pl)
         return np.array(self.mu), leak_mult, shrink
 
 
@@ -239,18 +239,7 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
         raise ParameterError(f"epsilon_pl must satisfy epsilon_pl >= 0, got {epsilon_pl}")
     w = np.asarray(w, dtype=float)
     denom = epsilon_pl + np.abs(w) ** (1.0 - p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = p * np.sign(w) / denom
-    return np.where(w == 0.0, 0.0, g)
-
-
-# step()'s floating-point error state, built once.  Overflow on the way to
-# non-finite weights is divergence, which the finite check raises as
-# DivergenceError; numpy's warnings for it are noise, and a caller's
-# np.errstate does not reach inside.  Each call enters its own copy, which
-# takes O(1): two threads may not enter one context at once.
-_QUIET = contextvars.Context()
-_QUIET.run(np.seterr, over="ignore", invalid="ignore")
+    return np.divide(p * np.sign(w), denom, out=np.zeros_like(w), where=w != 0.0)
 
 
 def step(state, x, desired, cfg):
@@ -258,9 +247,8 @@ def step(state, x, desired, cfg):
 
     Leak, gradient correction, then the optional shrinkage, in the engine's
     order; a leak multiplier of 1 is skipped, as ``1.0 * w`` is ``w``.
-    Runs in its own numpy error state: overflow and invalid values are
-    ignored and reported as DivergenceError, whatever the caller's
-    ``np.errstate``.
+    Runs in its own copy of ``errors.QUIET``, so overflow is reported as
+    DivergenceError whatever error state the caller set.
 
     Returns
     -------
@@ -268,7 +256,7 @@ def step(state, x, desired, cfg):
         The new state and the pre-update error ``e = desired - w . x``,
         which is the same for every variant.
     """
-    return _QUIET.copy().run(_step, state, x, desired, cfg)
+    return QUIET.copy().run(_step, state, x, desired, cfg)
 
 
 def _step(state, x, desired, cfg):
@@ -286,10 +274,10 @@ def _step(state, x, desired, cfg):
     _, leak_mult, shrink = cfg._operands
     new_w += w if leak_mult is None else leak_mult * w  # IEEE addition commutes
     if shrink is not None:
-        # rho_pl * (p * sgn(w) / (epsilon_pl + |w|**(1-p))), in place; in-place
-        # ``**= 0.5`` is still numpy's square root.  epsilon_pl > 0
-        # (AlgorithmConfig checks it), so sgn(0) = 0 already makes the w_i = 0
-        # element 0
+        # rho_pl * (p * sgn(w) / (epsilon_pl + |w|**(1-p))), in place; ``1 - p``
+        # is a Python float, so ``**= 0.5`` is numpy's square root.  epsilon_pl
+        # > 0 (AlgorithmConfig checks it), so sgn(0) = 0 already makes the
+        # w_i = 0 element 0
         rho_pl, p, one_minus_p, epsilon_pl = shrink
         s = np.sign(w)
         s *= p

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, check_integer
+from .errors import ParameterError, check_integer, quietly
 
 __all__ = [
     "RngStream",
@@ -103,6 +103,7 @@ def _check_noise(length, variance):
         raise ParameterError(f"variance must be finite and >= 0, got {variance}")
 
 
+@quietly
 def _ar1_unit_variance(drives, coeff):
     """AR(1)-filter each row of ``drives`` in place and rescale it to unit sample variance.
 
@@ -120,8 +121,7 @@ def _ar1_unit_variance(drives, coeff):
         cur += coeff * prev
         prev = cur
     drives[...] = x.T
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below by value
-        v = np.var(drives, axis=1)
+    v = np.var(drives, axis=1)  # overflow is reported below by value
     if not np.isfinite(v).all():
         raise ParameterError("the AR(1) input's sample variance overflows; lower drive_variance")
     if (v < np.finfo(float).tiny).any():  # a subnormal variance has too few bits to rescale by
