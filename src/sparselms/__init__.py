@@ -31,17 +31,15 @@ from .signal_gen import (
     gen_sparse_system,
     regressor_at,
 )
+from .config import ExperimentConfig, default_schedule, parse_config
 from .experiment import (
-    ExperimentConfig,
     MsdCurve,
     SteadyStateSummary,
-    default_schedule,
     msd,
     run_experiment,
     run_trial,
     steady_state,
 )
-from .config import parse_config
 from .emit import emit_csv, emit_plot
 
 __version__ = "0.1.0"

@@ -120,8 +120,8 @@ def main(argv=None):
         config = parse_config(
             text, master_seed=args.seed, runs=args.runs, iterations=args.iterations
         )
-        variants = _parse_algorithms(args.algorithms) if args.algorithms else None
-        levels = _parse_sr_list(args.sr, config) if args.sr else None
+        variants = None if args.algorithms is None else _parse_algorithms(args.algorithms)
+        levels = None if args.sr is None else _parse_sr_list(args.sr, config)
 
         try:
             curves = run_experiment(config, variants, levels)

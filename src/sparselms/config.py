@@ -1,4 +1,9 @@
-"""Config documents: parse ``key = value`` text into an :class:`ExperimentConfig`.
+"""The study: :class:`ExperimentConfig`, :func:`default_schedule`, and the
+config documents that :func:`parse_config` reads into them.
+
+The default study is the paper's grid: all four rules at each level of
+``_LEVEL_PARAMS``, which also holds each level's ``rho_pl`` and ``gamma``.
+:mod:`sparselms.experiment` runs a study's cells.
 
 Documents are flat ``key = value`` text with ``#`` comments; a
 ``[variant.level]`` section header scopes hyperparameter keys to one
@@ -25,12 +30,116 @@ overflows or is subnormal raises ``ParameterError``.
 """
 
 import dataclasses
+import math
+import numbers
 
-from .errors import ConfigError
-from .experiment import ExperimentConfig, default_schedule
+from .errors import ConfigError, ParameterError, check_integer
 from .filter_core import _READERS, AlgorithmConfig, LeakSign, Variant
 
-__all__ = ["parse_config"]
+__all__ = ["ExperimentConfig", "default_schedule", "parse_config"]
+
+# The default study's (rho_pl, gamma) per nonzero-tap count, its levels in
+# order: lighter shrinkage and leakage as the system becomes denser.
+_LEVEL_PARAMS = {1: (0.003, 0.005), 4: (0.002, 0.005), 8: (0.0015, 0.005), 16: (0.0001, 0.0005)}
+
+
+def _check_level(level, n_taps):
+    """``level`` as an int if it is an integer in ``1..n_taps``; else a ParameterError."""
+    level = int(check_integer("sparsity level", level))
+    if not 1 <= level <= n_taps:
+        raise ParameterError(
+            f"sparsity level must satisfy 1 <= level <= n_taps={n_taps}, got {level}"
+        )
+    return level
+
+
+def default_schedule():
+    """Hyperparameters for every (variant, nonzero-count) cell of the default study.
+
+    Each variant takes the ``rho_pl`` and ``gamma`` of ``_LEVEL_PARAMS`` that
+    it reads; every other field is ``AlgorithmConfig``'s default (mu=0.015,
+    and p=0.5, epsilon_pl=10 for the shrinkage variants).
+    """
+    sched = {}
+    for level, (rho_pl, gamma) in _LEVEL_PARAMS.items():
+        for variant in Variant:
+            params = {"rho_pl": rho_pl, "gamma": gamma}
+            params = {k: v for k, v in params.items() if variant in _READERS[k]}
+            sched[variant, level] = AlgorithmConfig(variant, **params)
+    return sched
+
+
+@dataclasses.dataclass
+class ExperimentConfig:
+    """Full study description: protocol constants plus the parameter schedule.
+
+    ``schedule`` maps ``(Variant, nonzero-count)`` to an
+    :class:`~sparselms.filter_core.AlgorithmConfig` of that variant; ``None``
+    means :func:`default_schedule`, and ``steady_state_window`` ``None`` means
+    ``min(500, iterations)``.
+    """
+
+    n_taps: int = 16
+    sparsity_levels: tuple = tuple(_LEVEL_PARAMS)
+    iterations: int = 8000
+    runs: int = 200
+    ar_coeff: float = 0.8
+    drive_variance: float = 1e-3
+    noise_variance: float = 1e-2
+    master_seed: int = 1234
+    schedule: dict = None
+    steady_state_window: int = None
+
+    def __post_init__(self):
+        if self.schedule is None:
+            self.schedule = default_schedule()
+        if not isinstance(self.schedule, dict):
+            raise ParameterError(f"schedule must be a dict, got {self.schedule!r}")
+        for key, entry in self.schedule.items():
+            variant, level = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+            if not (isinstance(variant, Variant) and isinstance(level, numbers.Integral)):
+                raise ParameterError(f"schedule key must be (Variant, integer level), got {key!r}")
+            if not (isinstance(entry, AlgorithmConfig) and entry.variant is variant):
+                raise ParameterError(
+                    f"schedule entry ({variant.value}, {level}) must be an AlgorithmConfig "
+                    f"of variant {variant.value}, got {entry!r}"
+                )
+        for name in ("n_taps", "iterations", "runs", "master_seed"):
+            check_integer(name, getattr(self, name))
+        if self.n_taps < 1:
+            raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
+        self.sparsity_levels = tuple(_check_level(s, self.n_taps) for s in self.sparsity_levels)
+        if self.steady_state_window is None:
+            self.steady_state_window = min(500, self.iterations)
+        check_integer("steady_state_window", self.steady_state_window)
+        if self.iterations < 1:
+            raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
+        if self.runs < 1:
+            raise ParameterError(f"runs must be >= 1, got {self.runs}")
+        if not 1 <= self.steady_state_window <= self.iterations:
+            raise ParameterError(
+                "steady_state_window must satisfy 1 <= window <= iterations="
+                f"{self.iterations}, got {self.steady_state_window}"
+            )
+        if len(set(self.sparsity_levels)) != len(self.sparsity_levels):
+            raise ParameterError(
+                f"sparsity levels must not repeat, got {self.sparsity_levels}"
+            )
+        if not abs(self.ar_coeff) < 1:
+            raise ParameterError(f"ar_coeff must satisfy |ar_coeff| < 1, got {self.ar_coeff}")
+        if not 0 < self.drive_variance < math.inf:
+            raise ParameterError(
+                f"drive_variance must be finite and > 0, got {self.drive_variance}"
+            )
+        if not 0 <= self.noise_variance < math.inf:
+            raise ParameterError(
+                f"noise_variance must be finite and >= 0, got {self.noise_variance}"
+            )
+        if not 0 <= int(self.master_seed) < 2**64:
+            raise ParameterError(
+                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
+            )
+
 
 _INT_KEYS = {"n_taps", "iterations", "runs", "steady_state_window", "master_seed"}
 _FLOAT_KEYS = {"ar_coeff", "drive_variance", "noise_variance"}
@@ -157,7 +266,7 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
 
     overrides = {"master_seed": master_seed, "runs": runs, "iterations": iterations}
     fields.update((k, v) for k, v in overrides.items() if v is not None)
-    levels = fields.get("sparsity_levels", (1, 4, 8, 16))
+    levels = fields.get("sparsity_levels", ExperimentConfig.sparsity_levels)
     needed = set(levels) | {lvl for (_, lvl) in section_cfg}
     table = default_schedule()
     schedule = {}

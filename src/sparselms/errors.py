@@ -1,4 +1,4 @@
-"""Exception types, the integer check and the numeric error state shared by the package."""
+"""Exception types, the integer and float checks, and the numeric error state of the package."""
 
 import contextvars
 import functools
@@ -50,11 +50,25 @@ def check_integer(name, value):
     return value
 
 
-# The floating-point error state of step(), the engine and the AR(1) rescale:
-# overflow and invalid values are reported by value (DivergenceError, or the
-# AR(1) ParameterError), underflow is ignored, divide keeps numpy's default, and
-# a caller's np.errstate or np.seterr does not reach inside.  Each call enters
-# its own copy, in O(1), as two threads may not enter one context at once.
+def not_numbers(name, value, kind="an array of floats"):
+    """The error for ``value`` that cannot be read as ``kind``: ragged, or not numbers."""
+    return ParameterError(f"{name} must be {kind}, got {value!r}")
+
+
+def as_floats(name, value):
+    """``value`` as a float64 array; the ``not_numbers`` error if numpy cannot read it."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise not_numbers(name, value) from None
+
+
+# The floating-point error state of step(), the engine, the shrinkage term and
+# the AR(1) rescale: overflow and invalid values are reported by value
+# (DivergenceError, the AR(1) ParameterError, or inf), underflow is ignored,
+# divide keeps numpy's default, and a caller's np.errstate or np.seterr does not
+# reach inside.  Each call enters its own copy, in O(1), as two threads may not
+# enter one context at once.
 QUIET = contextvars.Context()
 QUIET.run(np.seterr, over="ignore", invalid="ignore", under="ignore")
 

@@ -1,6 +1,7 @@
 """Monte-Carlo harness for sparse-system identification.
 
-Runs (variant x sparsity) cells: each run draws a fresh sparse system,
+It runs the (variant x sparsity) cells of a study, which
+:mod:`sparselms.config` describes: each run draws a fresh sparse system,
 AR(1) input, and observation noise from its own seeded stream, filters for
 a fixed number of iterations, and records the squared weight deviation
 ``sum((w_true - w_est)**2)`` after every update.  Curves are these traces
@@ -25,28 +26,26 @@ invocation to the next, and all variants see identical realizations at a
 given run index (paired comparisons).
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _check_level
 from .errors import (
     ConfigError,
     DimensionMismatchError,
     DivergenceError,
     ParameterError,
+    as_floats,
     check_integer,
     quietly,
 )
-from .filter_core import AlgorithmConfig, Variant
+from .filter_core import Variant
 from .signal_gen import gen_cell_realizations
 
 __all__ = [
-    "ExperimentConfig",
     "MsdCurve",
     "SteadyStateSummary",
-    "default_schedule",
     "msd",
     "run_trial",
     "run_experiment",
@@ -56,113 +55,6 @@ __all__ = [
 # A single trace sample above this aborts the cell: the step-level finite
 # check catches overflow, this catches runaway-but-finite instability.
 _TRACE_ABORT = 1e6
-
-# Shrinkage weight per nonzero-tap count, and leakage factor per count.
-_RHO_PL = {1: 0.003, 4: 0.002, 8: 0.0015, 16: 0.0001}
-_GAMMA = {1: 0.005, 4: 0.005, 8: 0.005, 16: 0.0005}
-
-
-def _check_level(level, n_taps):
-    """``level`` as an int if it is an integer in ``1..n_taps``; else a ParameterError."""
-    level = int(check_integer("sparsity level", level))
-    if not 1 <= level <= n_taps:
-        raise ParameterError(
-            f"sparsity level must satisfy 1 <= level <= n_taps={n_taps}, got {level}"
-        )
-    return level
-
-
-def default_schedule():
-    """Hyperparameters for every (variant, nonzero-count) cell of the default study.
-
-    mu=0.015 throughout; p=0.5 and epsilon_pl=10 for the shrinkage variants;
-    rho_pl and gamma vary with the nonzero-tap count (lighter shrinkage and
-    leakage as the system becomes denser).
-    """
-    sched = {}
-    for level in (1, 4, 8, 16):
-        rho, gam = _RHO_PL[level], _GAMMA[level]
-        sched[(Variant.LMS, level)] = AlgorithmConfig(Variant.LMS, mu=0.015)
-        sched[(Variant.LLMS, level)] = AlgorithmConfig(Variant.LLMS, mu=0.015, gamma=gam)
-        sched[(Variant.LP_LIKE_LMS, level)] = AlgorithmConfig(
-            Variant.LP_LIKE_LMS, mu=0.015, rho_pl=rho, epsilon_pl=10.0, p=0.5
-        )
-        sched[(Variant.LP_LIKE_LLMS, level)] = AlgorithmConfig(
-            Variant.LP_LIKE_LLMS, mu=0.015, gamma=gam, rho_pl=rho, epsilon_pl=10.0, p=0.5
-        )
-    return sched
-
-
-@dataclass
-class ExperimentConfig:
-    """Full study description: protocol constants plus the parameter schedule.
-
-    ``schedule`` maps ``(Variant, nonzero-count)`` to an
-    :class:`~sparselms.filter_core.AlgorithmConfig` of that variant; ``None``
-    means :func:`default_schedule`, and ``steady_state_window`` ``None`` means
-    ``min(500, iterations)``.
-    """
-
-    n_taps: int = 16
-    sparsity_levels: tuple = (1, 4, 8, 16)
-    iterations: int = 8000
-    runs: int = 200
-    ar_coeff: float = 0.8
-    drive_variance: float = 1e-3
-    noise_variance: float = 1e-2
-    master_seed: int = 1234
-    schedule: dict = None
-    steady_state_window: int = None
-
-    def __post_init__(self):
-        if self.schedule is None:
-            self.schedule = default_schedule()
-        if not isinstance(self.schedule, dict):
-            raise ParameterError(f"schedule must be a dict, got {self.schedule!r}")
-        for key, entry in self.schedule.items():
-            variant, level = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-            if not (isinstance(variant, Variant) and isinstance(level, numbers.Integral)):
-                raise ParameterError(f"schedule key must be (Variant, integer level), got {key!r}")
-            if not (isinstance(entry, AlgorithmConfig) and entry.variant is variant):
-                raise ParameterError(
-                    f"schedule entry ({variant.value}, {level}) must be an AlgorithmConfig "
-                    f"of variant {variant.value}, got {entry!r}"
-                )
-        for name in ("n_taps", "iterations", "runs", "master_seed"):
-            check_integer(name, getattr(self, name))
-        if self.n_taps < 1:
-            raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
-        self.sparsity_levels = tuple(_check_level(s, self.n_taps) for s in self.sparsity_levels)
-        if self.steady_state_window is None:
-            self.steady_state_window = min(500, self.iterations)
-        check_integer("steady_state_window", self.steady_state_window)
-        if self.iterations < 1:
-            raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
-        if self.runs < 1:
-            raise ParameterError(f"runs must be >= 1, got {self.runs}")
-        if not 1 <= self.steady_state_window <= self.iterations:
-            raise ParameterError(
-                "steady_state_window must satisfy 1 <= window <= iterations="
-                f"{self.iterations}, got {self.steady_state_window}"
-            )
-        if len(set(self.sparsity_levels)) != len(self.sparsity_levels):
-            raise ParameterError(
-                f"sparsity levels must not repeat, got {self.sparsity_levels}"
-            )
-        if not abs(self.ar_coeff) < 1:
-            raise ParameterError(f"ar_coeff must satisfy |ar_coeff| < 1, got {self.ar_coeff}")
-        if not 0 < self.drive_variance < math.inf:
-            raise ParameterError(
-                f"drive_variance must be finite and > 0, got {self.drive_variance}"
-            )
-        if not 0 <= self.noise_variance < math.inf:
-            raise ParameterError(
-                f"noise_variance must be finite and >= 0, got {self.noise_variance}"
-            )
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ParameterError(
-                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
-            )
 
 
 @dataclass
@@ -210,8 +102,8 @@ class SteadyStateSummary:
 
 def msd(true_w, est_w):
     """Squared deviation ``sum((true_w - est_w)**2)`` between weight vectors."""
-    true_w = np.asarray(true_w, dtype=float)
-    est_w = np.asarray(est_w, dtype=float)
+    true_w = as_floats("true_w", true_w)
+    est_w = as_floats("est_w", est_w)
     if true_w.shape != est_w.shape:
         raise DimensionMismatchError(
             f"weight vectors differ in length: {true_w.shape[0]} vs {est_w.shape[0]}"
@@ -307,9 +199,9 @@ def run_trial(system, x, noise, cfg, iterations):
     DivergenceError
         If the weights go non-finite, with the offending iteration index.
     """
-    system = np.ascontiguousarray(system, dtype=float)
-    x = np.ascontiguousarray(x, dtype=float)
-    noise = np.asarray(noise, dtype=float)
+    system = np.ascontiguousarray(as_floats("system", system))
+    x = np.ascontiguousarray(as_floats("x", x))
+    noise = as_floats("noise", noise)
     if check_integer("iterations", iterations) < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     if x.shape[0] < iterations or noise.shape[0] < iterations:
@@ -388,7 +280,8 @@ def run_experiment(config, variants=None, levels=None):
     Raises
     ------
     ParameterError
-        If a variant is not a ``Variant`` or a level not an integer in ``1..n_taps``.
+        If a variant is not a ``Variant``, a level not an integer in
+        ``1..n_taps``, or a variant or level is requested twice.
     ConfigError
         Naming the first cell, in variant-major order, without a schedule entry.
     DivergenceError
@@ -404,6 +297,10 @@ def run_experiment(config, variants=None, levels=None):
         levels = config.sparsity_levels
     else:
         levels = [_check_level(s, config.n_taps) for s in levels]
+    for what, names in (("variant", [v.value for v in variants]), ("sparsity level", levels)):
+        repeats = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeats:
+            raise ParameterError(f"{what} {repeats[0]} is requested more than once")
     missing = [(v, s) for v in variants for s in levels if (v, s) not in config.schedule]
     if missing:
         v, s = missing[0]

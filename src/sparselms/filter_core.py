@@ -25,7 +25,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import QUIET, DimensionMismatchError, DivergenceError, ParameterError
+from .errors import (
+    QUIET,
+    DimensionMismatchError,
+    DivergenceError,
+    ParameterError,
+    as_floats,
+    not_numbers,
+    quietly,
+)
 
 __all__ = [
     "Variant",
@@ -167,10 +175,7 @@ class FilterState:
     iteration: int = 0
 
     def __post_init__(self):
-        try:
-            weights = np.asarray(self.weights, dtype=float)
-        except (TypeError, ValueError):
-            raise _not_numbers("weights", self.weights) from None
+        weights = as_floats("weights", self.weights)
         if weights.ndim != 1 or weights.size < 1:
             raise ParameterError(
                 f"weights must be 1-d with at least one tap, got shape {weights.shape}"
@@ -195,11 +200,6 @@ class FilterState:
         return state
 
 
-def _not_numbers(name, value):
-    """The error for ``value`` that numpy cannot read as floats: ragged, or not numbers."""
-    return ParameterError(f"{name} must be an array of floats, got {value!r}")
-
-
 def _check_lengths(w, x):
     if w.shape != x.shape:
         if x.ndim == 1:
@@ -217,27 +217,31 @@ def pnorm_like(w, p):
     """
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must satisfy 0 < p < 1, got {p}")
-    w = np.asarray(w, dtype=float)
+    w = as_floats("w", w)
     return float(np.sum(np.abs(w) ** p))
 
 
+@quietly
 def pnorm_like_gradient_term(w, p, epsilon_pl):
     """Regularized shrinkage direction ``p*sgn(w_i) / (epsilon_pl + |w_i|**(1-p))``.
 
     The regularizer keeps the denominator away from zero; with
     ``epsilon_pl = 0`` the element at ``w_i = 0`` is defined as 0 because
-    ``sgn(0) = 0`` wins over the vanishing denominator.
+    ``sgn(0) = 0`` wins over the vanishing denominator.  Runs in a copy of
+    ``errors.QUIET``, so an overflow is a value, not a warning.
 
     Returns
     -------
     numpy.ndarray
-        Same length as ``w``; every element finite.
+        Same length as ``w``.  Every element is finite for ``epsilon_pl > 0``;
+        with ``epsilon_pl = 0`` an element is ``inf`` where ``p/|w_i|**(1-p)``
+        is too large for a float.
     """
     if not 0.0 < p < 1.0:
         raise ParameterError(f"p must satisfy 0 < p < 1, got {p}")
     if not epsilon_pl >= 0.0:
         raise ParameterError(f"epsilon_pl must satisfy epsilon_pl >= 0, got {epsilon_pl}")
-    w = np.asarray(w, dtype=float)
+    w = as_floats("w", w)
     denom = epsilon_pl + np.abs(w) ** (1.0 - p)
     return np.divide(p * np.sign(w), denom, out=np.zeros_like(w), where=w != 0.0)
 
@@ -263,11 +267,15 @@ def _step(state, x, desired, cfg):
     try:  # free on Python 3.11+ unless it raises
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError):
-        raise _not_numbers("regressor", x) from None
+        raise not_numbers("regressor", x) from None
+    try:
+        desired = float(desired)
+    except (TypeError, ValueError):
+        raise not_numbers("desired", desired, "a float") from None
     w = state.weights
     if w.shape != x.shape:
         _check_lengths(w, x)
-    e = float(desired) - float(w.dot(x))
+    e = desired - float(w.dot(x))
     # mu*e as Python floats, far cheaper than with a 0-d mu; then the array
     # first, so ndarray.__mul__ runs without float.__mul__'s detour
     new_w = x * (cfg.mu * e)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, check_integer, quietly
+from .errors import ParameterError, as_floats, check_integer, quietly
 
 __all__ = [
     "RngStream",
@@ -189,7 +189,7 @@ def regressor_at(x, k, n_taps):
 
     Indices before the start of the signal contribute 0.
     """
-    x = np.asarray(x, dtype=float)
+    x = as_floats("x", x)
     check_integer("k", k)
     if check_integer("n_taps", n_taps) < 1:
         raise ParameterError(f"n_taps must be >= 1, got {n_taps}")

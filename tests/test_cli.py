@@ -1,6 +1,9 @@
+import ast
 import contextlib
 import hashlib
+import importlib
 import io
+import pkgutil
 import re
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from sparselms import (
     parse_config,
     run_experiment,
 )
+import sparselms
 from sparselms import experiment
 from sparselms.cli import build_arg_parser, main
 
@@ -219,6 +223,42 @@ def test_level_outside_table_falls_back_to_base_defaults():
 def test_out_of_range_experiment_value():
     with pytest.raises(ParameterError, match="ar_coeff"):
         parse_config("ar_coeff = 1.5\n")
+
+
+def test_config_owns_the_study():
+    # config.py describes the study without the harness, and the default
+    # levels are written once, as the keys of config._LEVEL_PARAMS
+    package = Path(sparselms.__file__).parent
+    tree = ast.parse((package / "config.py").read_text())
+    imported = [
+        name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+    ]
+    assert not [name for name in imported if "experiment" in name]
+    assert not hasattr(experiment, "ExperimentConfig")
+    assert not hasattr(experiment, "default_schedule")
+    literals = [
+        f"{path.name}:{n}"
+        for path in sorted(package.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\(\s*1\s*,\s*4\s*,\s*8\s*,\s*16\s*,?\s*\)", line)
+    ]
+    assert literals == []
+
+
+def test_every_public_name_resolves():
+    modules = [sparselms] + [
+        importlib.import_module(f"sparselms.{info.name}")
+        for info in pkgutil.iter_modules(sparselms.__path__)
+    ]
+    unresolved = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert unresolved == []
 
 
 # ----------------------------------------------------------------- emit_csv
@@ -466,6 +506,21 @@ def test_main_rejects_unknown_algorithm(tmp_path, capsys):
     rc = main(["--algorithms", "rls", "--out", str(tmp_path)])
     assert rc == 1
     assert "rls" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--algorithms", "error: unknown algorithm ''"),
+        ("--sr", "error: sparsity ratio must look like 1/16, got ''"),
+    ],
+)
+def test_main_rejects_an_empty_list(flag, message, tmp_path, capsys):
+    # an empty list ran the whole study, as if the flag were not given
+    rc = main([flag, "", "--runs", "1", "--iterations", "10", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_rejects_unconfigured_level(tmp_path, capsys):

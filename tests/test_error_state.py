@@ -9,6 +9,7 @@ it was.
 import re
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from sparselms import (
     gen_ar1_input,
     gen_cell_realizations,
     parse_config,
+    pnorm_like_gradient_term,
     run_experiment,
     run_trial,
 )
@@ -127,6 +129,14 @@ def test_threads_run_trials_to_the_serial_bits():
     serial = run(None)
     with ThreadPoolExecutor(4) as pool:
         assert list(pool.map(run, range(8))) == [serial] * 8
+
+
+def test_the_gradient_term_overflows_to_inf_without_a_warning():
+    # a subnormal weight with epsilon_pl = 0: p/|w|**(1-p) is too large for a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        term = pnorm_like_gradient_term(np.array([5e-324, 1.0]), 0.01, 0.0)
+    assert term.tolist() == [np.inf, 0.01]
 
 
 def test_only_the_owner_sets_the_error_state():

@@ -24,6 +24,8 @@ from sparselms import (
     gen_gaussian_noise,
     gen_sparse_system,
     msd,
+    pnorm_like,
+    pnorm_like_gradient_term,
     regressor_at,
     run_experiment,
     run_trial,
@@ -360,6 +362,28 @@ def test_bad_level_fails_before_any_level_is_built(monkeypatch, levels, message)
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "variants, levels, message",
+    [
+        ([Variant.LMS, Variant.LMS], [1], "variant lms is requested more than once"),
+        ([Variant.LMS], [1, 1], "sparsity level 1 is requested more than once"),
+        (None, [4, 1, np.int64(4)], "sparsity level 4 is requested more than once"),
+        (
+            [Variant.LLMS, Variant.LMS, Variant.LLMS], [1, 1],
+            "variant llms is requested more than once",
+        ),
+    ],
+    ids=["variant", "level", "numpy-level", "variant-first"],
+)
+def test_repeated_cell_fails_before_any_level_is_built(monkeypatch, variants, levels, message):
+    # a repeat built its level twice and returned duplicate curves
+    calls = count_level_builds(monkeypatch)
+    with pytest.raises(ParameterError) as exc:
+        run_experiment(small_config(runs=2), variants, levels)
+    assert str(exc.value) == message
+    assert calls == []
+
+
 def test_numpy_integer_levels_are_ints():
     config = small_config(runs=2, iterations=20, steady_state_window=5)
     [curve] = run_experiment(config, [Variant.LMS], [np.int64(4)])
@@ -486,7 +510,73 @@ def test_default_schedule_leak_factors():
     assert sched[(Variant.LLMS, 1)].leak_sign is LeakSign.MINUS
 
 
+# The default study as README and the paper give it: per cell, its
+# (mu, gamma, rho_pl, epsilon_pl, p, leak_sign).
+PAPER_SCHEDULE = {
+    (Variant.LMS, 1): (0.015, 0.0, 0.0, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LMS, 4): (0.015, 0.0, 0.0, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LMS, 8): (0.015, 0.0, 0.0, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LMS, 16): (0.015, 0.0, 0.0, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LLMS, 1): (0.015, 0.005, 0.0, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LLMS, 4): (0.015, 0.005, 0.0, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LLMS, 8): (0.015, 0.005, 0.0, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LLMS, 16): (0.015, 0.0005, 0.0, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LP_LIKE_LMS, 1): (0.015, 0.0, 0.003, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LP_LIKE_LMS, 4): (0.015, 0.0, 0.002, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LP_LIKE_LMS, 8): (0.015, 0.0, 0.0015, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LP_LIKE_LMS, 16): (0.015, 0.0, 0.0001, 10.0, 0.5, LeakSign.MINUS),
+    (Variant.LP_LIKE_LLMS, 1): (0.015, 0.005, 0.003, 10.0, 0.5, LeakSign.PLUS),
+    (Variant.LP_LIKE_LLMS, 4): (0.015, 0.005, 0.002, 10.0, 0.5, LeakSign.PLUS),
+    (Variant.LP_LIKE_LLMS, 8): (0.015, 0.005, 0.0015, 10.0, 0.5, LeakSign.PLUS),
+    (Variant.LP_LIKE_LLMS, 16): (0.015, 0.0005, 0.0001, 10.0, 0.5, LeakSign.PLUS),
+}
+
+
+def test_default_schedule_is_the_papers_table():
+    expected = {key: AlgorithmConfig(key[0], *row) for key, row in PAPER_SCHEDULE.items()}
+    assert default_schedule() == expected
+
+
 # ---------------------------------------------------------------- validation
+
+
+LMS = AlgorithmConfig(Variant.LMS)
+RAGGED = [[1.0], [1.0, 2.0]]
+SAMPLES = np.zeros(30)
+FLOATS = "must be an array of floats, got"
+
+
+@pytest.mark.parametrize(
+    "func, args, message",
+    [
+        (step, (FilterState.zeros(2), [1.0], "abc", LMS), "desired must be a float, got 'abc'"),
+        (step, (FilterState.zeros(2), [1.0], None, LMS), "desired must be a float, got None"),
+        (step, (FilterState.zeros(2), [1.0], [1.0], LMS), "desired must be a float, got [1.0]"),
+        (run_trial, ("abc", SAMPLES, SAMPLES, LMS, 20), f"system {FLOATS} 'abc'"),
+        (run_trial, (RAGGED, SAMPLES, SAMPLES, LMS, 20), f"system {FLOATS} {RAGGED}"),
+        (run_trial, ([1.0], "abc", SAMPLES, LMS, 20), f"x {FLOATS} 'abc'"),
+        (run_trial, ([1.0], RAGGED, SAMPLES, LMS, 20), f"x {FLOATS} {RAGGED}"),
+        (run_trial, ([1.0], SAMPLES, "abc", LMS, 20), f"noise {FLOATS} 'abc'"),
+        (run_trial, ([1.0], SAMPLES, RAGGED, LMS, 20), f"noise {FLOATS} {RAGGED}"),
+        (regressor_at, (["a", "b"], 0, 2), f"x {FLOATS} ['a', 'b']"),
+        (msd, (["a"], [1.0]), f"true_w {FLOATS} ['a']"),
+        (msd, ([1.0], ["a"]), f"est_w {FLOATS} ['a']"),
+        (pnorm_like, (["a"], 0.5), f"w {FLOATS} ['a']"),
+        (pnorm_like_gradient_term, (RAGGED, 0.5, 1.0), f"w {FLOATS} {RAGGED}"),
+    ],
+    ids=[
+        "step-desired-str", "step-desired-none", "step-desired-list",
+        "run_trial-system-str", "run_trial-system-ragged", "run_trial-x-str",
+        "run_trial-x-ragged", "run_trial-noise-str", "run_trial-noise-ragged",
+        "regressor_at", "msd-true_w", "msd-est_w", "pnorm_like", "pnorm_like_gradient_term",
+    ],
+)
+def test_non_numeric_input_fails_by_name(func, args, message):
+    # each raised numpy's or float()'s bare ValueError or TypeError before
+    with pytest.raises(ParameterError) as exc:
+        func(*args)
+    assert str(exc.value) == message
+
 
 
 def test_experiment_config_defaults():
