@@ -33,7 +33,7 @@ import dataclasses
 import math
 import numbers
 
-from .errors import ConfigError, ParameterError, check_integer
+from .errors import ConfigError, ParameterError, check_instance, check_integer, check_real
 from .filter_core import _READERS, AlgorithmConfig, LeakSign, Variant
 
 __all__ = ["ExperimentConfig", "default_schedule", "parse_config"]
@@ -45,12 +45,7 @@ _LEVEL_PARAMS = {1: (0.003, 0.005), 4: (0.002, 0.005), 8: (0.0015, 0.005), 16: (
 
 def _check_level(level, n_taps):
     """``level`` as an int if it is an integer in ``1..n_taps``; else a ParameterError."""
-    level = int(check_integer("sparsity level", level))
-    if not 1 <= level <= n_taps:
-        raise ParameterError(
-            f"sparsity level must satisfy 1 <= level <= n_taps={n_taps}, got {level}"
-        )
-    return level
+    return check_integer("sparsity level", level, 1, n_taps)
 
 
 def default_schedule():
@@ -93,9 +88,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.schedule is None:
             self.schedule = default_schedule()
-        if not isinstance(self.schedule, dict):
-            raise ParameterError(f"schedule must be a dict, got {self.schedule!r}")
-        for key, entry in self.schedule.items():
+        for key, entry in check_instance("schedule", self.schedule, dict).items():
             variant, level = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
             if not (isinstance(variant, Variant) and isinstance(level, numbers.Integral)):
                 raise ParameterError(f"schedule key must be (Variant, integer level), got {key!r}")
@@ -104,41 +97,21 @@ class ExperimentConfig:
                     f"schedule entry ({variant.value}, {level}) must be an AlgorithmConfig "
                     f"of variant {variant.value}, got {entry!r}"
                 )
-        for name in ("n_taps", "iterations", "runs", "master_seed"):
-            check_integer(name, getattr(self, name))
-        if self.n_taps < 1:
-            raise ParameterError(f"n_taps must be >= 1, got {self.n_taps}")
+        check_integer("n_taps", self.n_taps, 1)
+        check_integer("iterations", self.iterations, 1)
+        check_integer("runs", self.runs, 1)
+        check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
         self.sparsity_levels = tuple(_check_level(s, self.n_taps) for s in self.sparsity_levels)
-        if self.steady_state_window is None:
-            self.steady_state_window = min(500, self.iterations)
-        check_integer("steady_state_window", self.steady_state_window)
-        if self.iterations < 1:
-            raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
-        if self.runs < 1:
-            raise ParameterError(f"runs must be >= 1, got {self.runs}")
-        if not 1 <= self.steady_state_window <= self.iterations:
-            raise ParameterError(
-                "steady_state_window must satisfy 1 <= window <= iterations="
-                f"{self.iterations}, got {self.steady_state_window}"
-            )
         if len(set(self.sparsity_levels)) != len(self.sparsity_levels):
             raise ParameterError(
                 f"sparsity levels must not repeat, got {self.sparsity_levels}"
             )
-        if not abs(self.ar_coeff) < 1:
-            raise ParameterError(f"ar_coeff must satisfy |ar_coeff| < 1, got {self.ar_coeff}")
-        if not 0 < self.drive_variance < math.inf:
-            raise ParameterError(
-                f"drive_variance must be finite and > 0, got {self.drive_variance}"
-            )
-        if not 0 <= self.noise_variance < math.inf:
-            raise ParameterError(
-                f"noise_variance must be finite and >= 0, got {self.noise_variance}"
-            )
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise ParameterError(
-                f"master_seed must be an unsigned 64-bit integer, got {self.master_seed}"
-            )
+        if self.steady_state_window is None:
+            self.steady_state_window = min(500, self.iterations)
+        check_integer("steady_state_window", self.steady_state_window, 1, self.iterations)
+        check_real("ar_coeff", self.ar_coeff, gt=-1, lt=1)
+        check_real("drive_variance", self.drive_variance, gt=0, lt=math.inf)
+        check_real("noise_variance", self.noise_variance, ge=0, lt=math.inf)
 
 
 _INT_KEYS = {"n_taps", "iterations", "runs", "steady_state_window", "master_seed"}

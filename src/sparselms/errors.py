@@ -1,7 +1,8 @@
-"""Exception types, the integer and float checks, and the numeric error state of the package."""
+"""Exception types, every parameter check, and the numeric error state of the package."""
 
 import contextvars
 import functools
+import math
 import numbers
 
 import numpy as np
@@ -43,11 +44,51 @@ class DivergenceError(ArithmeticError):
         self.level = level
 
 
-def check_integer(name, value):
-    """``value`` if it is an integer, numpy's included; else a ParameterError naming it."""
-    if not isinstance(value, numbers.Integral):
+def check_integer(name, value, low=None, high=None):
+    """``value`` as an int if it is an integer, numpy's included but no bool, with
+    ``low <= value`` and ``value <= high`` for each bound given (``high`` only with
+    ``low``); else a ParameterError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if (low is not None and value < low) or (high is not None and value > high):
+        raise _out_of_range(name, value, (">=", low), ("<=", high))
     return value
+
+
+def check_real(name, value, *, ge=None, gt=None, lt=None):
+    """``value`` if it is a real number, numpy's included, with ``value >= ge`` or
+    ``value > gt`` (one of the two is given) and ``value < lt`` unless ``lt`` is None;
+    else a ParameterError naming it.  ``lt=math.inf`` asks for a finite value; nan
+    fails every bound."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise not_numbers(name, value, "a real number")
+    if not (
+        (ge is None or value >= ge) and (gt is None or value > gt) and (lt is None or value < lt)
+    ):
+        low = (">=", ge) if gt is None else (">", gt)
+        raise _out_of_range(name, value, low, ("<", lt))
+    return value
+
+
+def check_instance(name, value, kind):
+    """``value`` if it is a ``kind``; else a ParameterError naming it."""
+    if not isinstance(value, kind):
+        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _out_of_range(name, value, low, high):
+    """The error for ``value`` outside ``low`` and ``high``, each an ``(op, bound)``
+    pair; only the upper bound may be None, and an upper bound of inf reads as "finite"."""
+    (low_op, low), (high_op, high) = low, high
+    if high is None:
+        rule = f"be {low_op} {low}"
+    elif high == math.inf:
+        rule = f"be finite and {low_op} {low}"
+    else:
+        rule = f"satisfy {low} {low_op.replace('>', '<')} {name} {high_op} {high}"
+    return ParameterError(f"{name} must {rule}, got {value}")
 
 
 def not_numbers(name, value, kind="an array of floats"):

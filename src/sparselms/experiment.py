@@ -37,6 +37,7 @@ from .errors import (
     DivergenceError,
     ParameterError,
     as_floats,
+    check_instance,
     check_integer,
     quietly,
 )
@@ -74,13 +75,15 @@ class MsdCurve:
     run_tails: np.ndarray = None
 
     def __post_init__(self):
-        if check_integer("runs", self.runs) < 1:
-            raise ParameterError(f"runs must be >= 1, got {self.runs}")
+        check_instance("variant", self.variant, Variant)
+        n_taps = check_integer("n_taps", self.n_taps, 1)
+        _check_level(self.sparsity_level, n_taps)
+        check_integer("runs", self.runs, 1)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.shape[0] < 1:
             raise ParameterError("values must be a nonempty 1-d array")
         if not np.isfinite(self.values).all() or (self.values < 0).any():
-            raise ParameterError("MSD values must be finite and nonnegative")
+            raise ParameterError("MSD values must be nonnegative and finite")
         if self.run_tails is not None:
             self.run_tails = np.asarray(self.run_tails, dtype=float)
             if self.run_tails.ndim != 2 or self.run_tails.shape[0] != self.runs:
@@ -202,8 +205,7 @@ def run_trial(system, x, noise, cfg, iterations):
     system = np.ascontiguousarray(as_floats("system", system))
     x = np.ascontiguousarray(as_floats("x", x))
     noise = as_floats("noise", noise)
-    if check_integer("iterations", iterations) < 1:
-        raise ParameterError(f"iterations must be >= 1, got {iterations}")
+    check_integer("iterations", iterations, 1)
     if x.shape[0] < iterations or noise.shape[0] < iterations:
         raise DimensionMismatchError(
             f"input and noise must provide at least {iterations} samples, "
@@ -321,9 +323,7 @@ def steady_state(curve, window):
     single run).  A window wider than the stored per-run tails raises.
     """
     n = curve.values.shape[0]
-    check_integer("window", window)
-    if not 1 <= window <= n:
-        raise ParameterError(f"window must satisfy 1 <= window <= {n}, got {window}")
+    check_integer("window", window, 1, n)
     mean = float(curve.values[-window:].mean())
     stderr = 0.0
     tails = curve.run_tails

@@ -19,7 +19,6 @@ returns a new one with the pre-update error, never mutating its inputs.
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +30,9 @@ from .errors import (
     DivergenceError,
     ParameterError,
     as_floats,
+    check_instance,
+    check_integer,
+    check_real,
     not_numbers,
     quietly,
 )
@@ -111,28 +113,19 @@ class AlgorithmConfig:
     leak_sign: LeakSign | None = None
 
     def __post_init__(self):
-        if not isinstance(self.variant, Variant):
-            raise ParameterError(f"variant must be a Variant, got {self.variant!r}")
+        check_instance("variant", self.variant, Variant)
         if not (self.leak_sign is None or isinstance(self.leak_sign, LeakSign)):
             raise ParameterError(f"leak_sign must be a LeakSign or None, got {self.leak_sign!r}")
         if self.leak_sign is None:
             default = LeakSign.PLUS if self.variant in _READERS["leak_sign"] else LeakSign.MINUS
             object.__setattr__(self, "leak_sign", default)
-        if not 0.0 <= self.mu < math.inf:
-            raise ParameterError(f"mu must be finite and >= 0, got {self.mu}")
-        if self.variant in _LEAKY and not 0.0 <= self.gamma < 1.0:
-            raise ParameterError(
-                f"gamma must satisfy 0 <= gamma < 1 for {self.variant.value}, got {self.gamma}"
-            )
+        check_real("mu", self.mu, ge=0, lt=math.inf)
+        if self.variant in _LEAKY:
+            check_real("gamma", self.gamma, ge=0, lt=1)
         if self.variant in _SHRINKING:
-            if not 0.0 < self.p < 1.0:
-                raise ParameterError(f"p must satisfy 0 < p < 1, got {self.p}")
-            if not 0.0 <= self.rho_pl < math.inf:
-                raise ParameterError(f"rho_pl must be finite and >= 0, got {self.rho_pl}")
-            if not 0.0 < self.epsilon_pl < math.inf:
-                raise ParameterError(
-                    f"epsilon_pl must be finite and > 0, got {self.epsilon_pl}"
-                )
+            check_real("p", self.p, gt=0, lt=1)
+            check_real("rho_pl", self.rho_pl, ge=0, lt=math.inf)
+            check_real("epsilon_pl", self.epsilon_pl, gt=0, lt=math.inf)
 
     # Per-config constants of step() and the engine, computed on first use and
     # cached on the instance; dataclasses.replace builds a new instance, so they follow.
@@ -180,16 +173,13 @@ class FilterState:
             raise ParameterError(
                 f"weights must be 1-d with at least one tap, got shape {weights.shape}"
             )
-        if not isinstance(self.iteration, numbers.Integral) or self.iteration < 0:
-            raise ParameterError(f"iteration must be an integer >= 0, got {self.iteration!r}")
+        check_integer("iteration", self.iteration, 0)
         object.__setattr__(self, "weights", weights)
 
     @classmethod
     def zeros(cls, n_taps):
         """All-zero estimate of the given length, iteration counter at 0."""
-        if not isinstance(n_taps, numbers.Integral) or n_taps < 1:
-            raise ParameterError(f"n_taps must be an integer >= 1, got {n_taps!r}")
-        return cls(np.zeros(n_taps), 0)
+        return cls(np.zeros(check_integer("n_taps", n_taps, 1)), 0)
 
     @classmethod
     def _next(cls, weights, iteration):
@@ -215,8 +205,7 @@ def pnorm_like(w, p):
     Not a norm (the triangle inequality fails for p < 1); 0**p is taken
     as 0, so the zero vector scores 0.
     """
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must satisfy 0 < p < 1, got {p}")
+    check_real("p", p, gt=0, lt=1)
     w = as_floats("w", w)
     return float(np.sum(np.abs(w) ** p))
 
@@ -237,10 +226,8 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
         with ``epsilon_pl = 0`` an element is ``inf`` where ``p/|w_i|**(1-p)``
         is too large for a float.
     """
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p must satisfy 0 < p < 1, got {p}")
-    if not epsilon_pl >= 0.0:
-        raise ParameterError(f"epsilon_pl must satisfy epsilon_pl >= 0, got {epsilon_pl}")
+    check_real("p", p, gt=0, lt=1)
+    check_real("epsilon_pl", epsilon_pl, ge=0)
     w = as_floats("w", w)
     denom = epsilon_pl + np.abs(w) ** (1.0 - p)
     return np.divide(p * np.sign(w), denom, out=np.zeros_like(w), where=w != 0.0)

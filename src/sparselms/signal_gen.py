@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, as_floats, check_integer, quietly
+from .errors import ParameterError, as_floats, check_integer, check_real, quietly
 
 __all__ = [
     "RngStream",
@@ -33,15 +33,9 @@ class RngStream:
     """
 
     def __init__(self, seed, stream_id=0):
-        seed = int(check_integer("seed", seed))
-        stream_id = int(check_integer("stream_id", stream_id))
-        if not 0 <= seed < 2**64:
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
-        if stream_id < 0:
-            raise ParameterError(f"stream_id must be >= 0, got {stream_id}")
-        self.seed = seed
-        self.stream_id = stream_id
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream_id,))
+        self.seed = check_integer("seed", seed, 0, 2**64 - 1)
+        self.stream_id = check_integer("stream_id", stream_id, 0)
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.default_rng(ss)
 
     def __repr__(self):
@@ -54,14 +48,8 @@ def _gen(rng):
 
 
 def _check_system(n_taps, n_nonzero):
-    check_integer("n_taps", n_taps)
-    check_integer("n_nonzero", n_nonzero)
-    if n_taps < 1:
-        raise ParameterError(f"n_taps must be >= 1, got {n_taps}")
-    if not 1 <= n_nonzero <= n_taps:
-        raise ParameterError(
-            f"n_nonzero must satisfy 1 <= n_nonzero <= n_taps={n_taps}, got {n_nonzero}"
-        )
+    n_taps = check_integer("n_taps", n_taps, 1)
+    check_integer("n_nonzero", n_nonzero, 1, n_taps)
 
 
 def _draw_system(g, n_taps, n_nonzero):
@@ -84,23 +72,9 @@ def gen_sparse_system(n_taps, n_nonzero, rng):
 
 
 def _check_ar1(length, coeff, drive_variance):
-    check_integer("length", length)
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
-    if not abs(coeff) < 1:
-        raise ParameterError(
-            f"coeff must satisfy |coeff| < 1 (process is non-stationary otherwise), got {coeff}"
-        )
-    if not 0 < drive_variance < math.inf:
-        raise ParameterError(f"drive_variance must be finite and > 0, got {drive_variance}")
-
-
-def _check_noise(length, variance):
-    check_integer("length", length)
-    if length < 1:
-        raise ParameterError(f"length must be >= 1, got {length}")
-    if not 0 <= variance < math.inf:
-        raise ParameterError(f"variance must be finite and >= 0, got {variance}")
+    check_integer("length", length, 1)
+    check_real("coeff", coeff, gt=-1, lt=1)  # the process is non-stationary otherwise
+    check_real("drive_variance", drive_variance, gt=0, lt=math.inf)
 
 
 @quietly
@@ -145,7 +119,8 @@ def gen_ar1_input(length, coeff, drive_variance, rng):
 
 def gen_gaussian_noise(length, variance, rng):
     """I.i.d. zero-mean Gaussian samples of the given variance."""
-    _check_noise(length, variance)
+    check_integer("length", length, 1)
+    check_real("variance", variance, ge=0, lt=math.inf)
     return _gen(rng).standard_normal(length) * np.sqrt(variance)
 
 
@@ -164,11 +139,10 @@ def gen_cell_realizations(
     draws of ``length`` (the sampler consumes its stream sequentially).
     All drives are filtered together.
     """
-    if check_integer("runs", runs) < 1:
-        raise ParameterError(f"runs must be >= 1, got {runs}")
+    check_integer("runs", runs, 1)
     _check_system(n_taps, n_nonzero)
     _check_ar1(length, coeff, drive_variance)
-    _check_noise(length, noise_variance)
+    check_real("noise_variance", noise_variance, ge=0, lt=math.inf)
     positions = np.empty((runs, n_nonzero), dtype=np.intp)
     signs = np.empty((runs, n_nonzero))
     z = np.empty((runs, 2 * length))
@@ -191,8 +165,7 @@ def regressor_at(x, k, n_taps):
     """
     x = as_floats("x", x)
     check_integer("k", k)
-    if check_integer("n_taps", n_taps) < 1:
-        raise ParameterError(f"n_taps must be >= 1, got {n_taps}")
+    check_integer("n_taps", n_taps, 1)
     if not 0 <= k < x.shape[0]:
         raise IndexError(f"index {k} out of bounds for signal of length {x.shape[0]}")
     out = np.zeros(n_taps)

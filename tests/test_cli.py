@@ -577,7 +577,7 @@ def test_iterations_flag_does_not_shrink_a_set_window(tmp_path, capsys):
                "--algorithms", "lms", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: steady_state_window must satisfy 1 <= window <= iterations=60, got 500\n"
+        "error: steady_state_window must satisfy 1 <= steady_state_window <= 60, got 500\n"
     )
     assert not (tmp_path / "o").exists()
 

@@ -1,10 +1,14 @@
+import ast
 import dataclasses
+import functools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparselms
 from sparselms import experiment
 from sparselms import (
     AlgorithmConfig,
@@ -347,8 +351,8 @@ def test_first_missing_schedule_entry_is_reported_in_variant_major_order():
 @pytest.mark.parametrize(
     "levels, message",
     [
-        ((1, 4, 20), "sparsity level must satisfy 1 <= level <= n_taps=16, got 20"),
-        ((0,), "sparsity level must satisfy 1 <= level <= n_taps=16, got 0"),
+        ((1, 4, 20), "sparsity level must satisfy 1 <= sparsity level <= 16, got 20"),
+        ((0,), "sparsity level must satisfy 1 <= sparsity level <= 16, got 0"),
         ((1.5,), "sparsity level must be an integer, got 1.5"),
         (("1",), "sparsity level must be an integer, got '1'"),
     ],
@@ -544,6 +548,7 @@ LMS = AlgorithmConfig(Variant.LMS)
 RAGGED = [[1.0], [1.0, 2.0]]
 SAMPLES = np.zeros(30)
 FLOATS = "must be an array of floats, got"
+REAL = "must be a real number, got"
 
 
 @pytest.mark.parametrize(
@@ -563,16 +568,46 @@ FLOATS = "must be an array of floats, got"
         (msd, ([1.0], ["a"]), f"est_w {FLOATS} ['a']"),
         (pnorm_like, (["a"], 0.5), f"w {FLOATS} ['a']"),
         (pnorm_like_gradient_term, (RAGGED, 0.5, 1.0), f"w {FLOATS} {RAGGED}"),
+        (functools.partial(AlgorithmConfig, mu="abc"), (Variant.LMS,), f"mu {REAL} 'abc'"),
+        (functools.partial(AlgorithmConfig, gamma=None), (Variant.LLMS,), f"gamma {REAL} None"),
+        (functools.partial(AlgorithmConfig, p="0.5"), (Variant.LP_LIKE_LMS,), f"p {REAL} '0.5'"),
+        (functools.partial(ExperimentConfig, ar_coeff="x"), (), f"ar_coeff {REAL} 'x'"),
+        (
+            functools.partial(ExperimentConfig, drive_variance="1"), (),
+            f"drive_variance {REAL} '1'",
+        ),
+        (
+            functools.partial(ExperimentConfig, noise_variance=None), (),
+            f"noise_variance {REAL} None",
+        ),
+        (pnorm_like, ([1.0], "a"), f"p {REAL} 'a'"),
+        (pnorm_like_gradient_term, ([1.0], 0.5, "a"), f"epsilon_pl {REAL} 'a'"),
+        (gen_ar1_input, (10, "a", 1.0, RngStream(1)), f"coeff {REAL} 'a'"),
+        (gen_gaussian_noise, (10, None, RngStream(1)), f"variance {REAL} None"),
+        (
+            gen_cell_realizations, (1, 2, 4, 1, 10, 0.8, 1e-3, "x"),
+            f"noise_variance {REAL} 'x'",
+        ),
+        # a bool, a complex number and a 0-d array are no real numbers either
+        (functools.partial(AlgorithmConfig, mu=True), (Variant.LMS,), f"mu {REAL} True"),
+        (functools.partial(ExperimentConfig, ar_coeff=0.5j), (), f"ar_coeff {REAL} 0.5j"),
+        (pnorm_like, ([1.0], np.array(0.5)), f"p {REAL} array(0.5)"),
     ],
     ids=[
         "step-desired-str", "step-desired-none", "step-desired-list",
         "run_trial-system-str", "run_trial-system-ragged", "run_trial-x-str",
         "run_trial-x-ragged", "run_trial-noise-str", "run_trial-noise-ragged",
         "regressor_at", "msd-true_w", "msd-est_w", "pnorm_like", "pnorm_like_gradient_term",
+        "config-mu", "config-gamma", "config-p", "experiment-ar_coeff",
+        "experiment-drive_variance", "experiment-noise_variance", "pnorm_like-p",
+        "pnorm_like_gradient_term-epsilon_pl", "gen_ar1_input-coeff",
+        "gen_gaussian_noise-variance", "gen_cell_realizations-noise_variance",
+        "config-mu-bool", "experiment-ar_coeff-complex", "pnorm_like-p-array",
     ],
 )
 def test_non_numeric_input_fails_by_name(func, args, message):
-    # each raised numpy's or float()'s bare ValueError or TypeError before
+    # each raised a bare ValueError or TypeError before (numpy's, float()'s or a
+    # comparison's), or was taken as a number: a bool as 0 or 1
     with pytest.raises(ParameterError) as exc:
         func(*args)
     assert str(exc.value) == message
@@ -629,6 +664,8 @@ def test_experiment_config_validation(kw):
         ({"master_seed": math.nan}, "master_seed must be an integer, got nan"),
         ({"steady_state_window": 50.0}, "steady_state_window must be an integer, got 50.0"),
         ({"sparsity_levels": (1, 1.5)}, "sparsity level must be an integer, got 1.5"),
+        # a bool ran as one run before
+        ({"runs": True, "iterations": 10}, "runs must be an integer, got True"),
     ],
 )
 def test_non_integer_field_is_named(kw, message):
@@ -655,8 +692,11 @@ def test_unset_window_is_min_of_500_and_iterations():
     # a config carries its resolved window: a copy with fewer iterations must fit it
     config = ExperimentConfig(iterations=300)
     assert dataclasses.replace(config, runs=3).steady_state_window == 300
-    with pytest.raises(ParameterError, match="iterations=200, got 300"):
+    with pytest.raises(ParameterError) as exc:
         dataclasses.replace(config, iterations=200)
+    assert str(exc.value) == (
+        "steady_state_window must satisfy 1 <= steady_state_window <= 200, got 300"
+    )
 
 
 @pytest.mark.parametrize(
@@ -713,6 +753,37 @@ def test_msd_curve_runs_is_an_integer_of_at_least_one(runs, message):
     with pytest.raises(ParameterError, match=re.escape(message)):
         MsdCurve(Variant.LMS, 1, 16, np.full(3, 1.0), runs=runs)
     assert MsdCurve(Variant.LMS, 1, 16, np.full(3, 1.0), runs=np.int64(2)).runs == 2
+
+
+@pytest.mark.parametrize(
+    "variant, level, n_taps, message",
+    [
+        ("lms", 1, 16, "variant must be a Variant, got 'lms'"),
+        (Variant.LMS, "1", 16, "sparsity level must be an integer, got '1'"),
+        (Variant.LMS, 20, 16, "sparsity level must satisfy 1 <= sparsity level <= 16, got 20"),
+        (Variant.LMS, 1, 0, "n_taps must be >= 1, got 0"),
+    ],
+    ids=["variant-name", "level-str", "level-above-taps", "no-taps"],
+)
+def test_msd_curve_checks_its_cell(variant, level, n_taps, message):
+    # emit_csv wrote these as they were, or raised a bare KeyError for "lms"
+    with pytest.raises(ParameterError) as exc:
+        MsdCurve(variant, level, n_taps, [1.0, 0.5], runs=1)
+    assert str(exc.value) == message
+
+
+def test_only_the_owner_words_a_range_rule():
+    # errors.check_integer and errors.check_real word every range rule, once
+    package = Path(sparselms.__file__).parent
+    rule = re.compile("must be >=|must be finite|must be an integer|must satisfy")
+    worded = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ParameterError")
+        and rule.search(ast.unparse(node))
+    ]
+    assert worded == []
 
 
 def test_msd_curve_rejects_bad_values():

@@ -40,6 +40,9 @@ def test_rng_stream_validation():
         RngStream(1234.9)
     with pytest.raises(ParameterError, match="stream_id must be an integer, got 2.5"):
         RngStream(1234, 2.5)
+    # a bool was seed 1
+    with pytest.raises(ParameterError, match="^seed must be an integer, got True$"):
+        RngStream(True)
     a = RngStream(np.uint64(77), np.int64(3)).generator.standard_normal(8)
     np.testing.assert_array_equal(a, RngStream(77, 3).generator.standard_normal(8))
 
