@@ -8,69 +8,19 @@ bit for bit, a config-document parser and CSV/SVG emitters.  The
 ``sparselms`` command (:mod:`sparselms.cli`) is not imported by the package.
 """
 
-from .errors import (
-    ConfigError,
-    DimensionMismatchError,
-    DivergenceError,
-    ParameterError,
-)
-from .filter_core import (
-    AlgorithmConfig,
-    FilterState,
-    LeakSign,
-    Variant,
-    pnorm_like,
-    pnorm_like_gradient_term,
-    step,
-)
-from .signal_gen import (
-    RngStream,
-    gen_ar1_input,
-    gen_cell_realizations,
-    gen_gaussian_noise,
-    gen_sparse_system,
-    regressor_at,
-)
-from .config import ExperimentConfig, default_schedule, parse_config
-from .experiment import (
-    MsdCurve,
-    SteadyStateSummary,
-    msd,
-    run_experiment,
-    run_trial,
-    steady_state,
-)
-from .emit import emit_csv, emit_plot
+from . import errors, filter_core, signal_gen, config, experiment, emit
+from .errors import *  # noqa: F403
+from .filter_core import *  # noqa: F403
+from .signal_gen import *  # noqa: F403
+from .config import *  # noqa: F403
+from .experiment import *  # noqa: F403
+from .emit import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "AlgorithmConfig",
-    "ConfigError",
-    "DimensionMismatchError",
-    "DivergenceError",
-    "ExperimentConfig",
-    "FilterState",
-    "LeakSign",
-    "MsdCurve",
-    "ParameterError",
-    "RngStream",
-    "SteadyStateSummary",
-    "Variant",
-    "default_schedule",
-    "emit_csv",
-    "emit_plot",
-    "gen_ar1_input",
-    "gen_cell_realizations",
-    "gen_gaussian_noise",
-    "gen_sparse_system",
-    "msd",
-    "parse_config",
-    "pnorm_like",
-    "pnorm_like_gradient_term",
-    "regressor_at",
-    "run_experiment",
-    "run_trial",
-    "steady_state",
-    "step",
+    name
+    for module in (errors, filter_core, signal_gen, config, experiment, emit)
+    for name in module.__all__
 ]

@@ -33,7 +33,15 @@ import dataclasses
 import math
 import numbers
 
-from .errors import ConfigError, ParameterError, check_instance, check_integer, check_real
+from .errors import (
+    ConfigError,
+    ParameterError,
+    as_tuple,
+    check_count,
+    check_instance,
+    check_integer,
+    check_real,
+)
 from .filter_core import _READERS, AlgorithmConfig, LeakSign, Variant
 
 __all__ = ["ExperimentConfig", "default_schedule", "parse_config"]
@@ -97,25 +105,27 @@ class ExperimentConfig:
                     f"schedule entry ({variant.value}, {level}) must be an AlgorithmConfig "
                     f"of variant {variant.value}, got {entry!r}"
                 )
-        check_integer("n_taps", self.n_taps, 1)
-        check_integer("iterations", self.iterations, 1)
-        check_integer("runs", self.runs, 1)
-        check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
-        self.sparsity_levels = tuple(_check_level(s, self.n_taps) for s in self.sparsity_levels)
+        self.n_taps = check_count("n_taps", self.n_taps)
+        self.iterations = check_count("iterations", self.iterations)
+        self.runs = check_count("runs", self.runs)
+        self.master_seed = check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
+        self.sparsity_levels = tuple(
+            _check_level(s, self.n_taps) for s in as_tuple("sparsity_levels", self.sparsity_levels)
+        )
         if len(set(self.sparsity_levels)) != len(self.sparsity_levels):
-            raise ParameterError(
-                f"sparsity levels must not repeat, got {self.sparsity_levels}"
-            )
+            raise ParameterError(f"sparsity levels must not repeat, got {self.sparsity_levels}")
         if self.steady_state_window is None:
             self.steady_state_window = min(500, self.iterations)
         check_integer("steady_state_window", self.steady_state_window, 1, self.iterations)
-        check_real("ar_coeff", self.ar_coeff, gt=-1, lt=1)
-        check_real("drive_variance", self.drive_variance, gt=0, lt=math.inf)
-        check_real("noise_variance", self.noise_variance, ge=0, lt=math.inf)
+        self.ar_coeff = check_real("ar_coeff", self.ar_coeff, gt=-1, lt=1)
+        self.drive_variance = check_real("drive_variance", self.drive_variance, gt=0, lt=math.inf)
+        self.noise_variance = check_real("noise_variance", self.noise_variance, ge=0, lt=math.inf)
 
 
-_INT_KEYS = {"n_taps", "iterations", "runs", "steady_state_window", "master_seed"}
-_FLOAT_KEYS = {"ar_coeff", "drive_variance", "noise_variance"}
+# The document keys of ExperimentConfig's int and float fields, each with its type.
+_SCALAR_KEYS = {
+    f.name: f.type for f in dataclasses.fields(ExperimentConfig) if f.type in (int, float)
+}
 
 
 def _coerce(key, value, lineno, kind=float):
@@ -216,10 +226,8 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
                     f"line {lineno}: key 'sparsity_levels' expects comma-separated "
                     f"integers, got {value!r}"
                 ) from None
-        elif key in _INT_KEYS:
-            fields[key] = _coerce(key, value, lineno, int)
-        elif key in _FLOAT_KEYS:
-            fields[key] = _coerce(key, value, lineno)
+        elif key in _SCALAR_KEYS:
+            fields[key] = _coerce(key, value, lineno, _SCALAR_KEYS[key])
         elif key in _READERS:
             broadcast[key] = _coerce_hyperparameter(key, value, lineno)
         else:

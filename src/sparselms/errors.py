@@ -7,6 +7,14 @@ import numbers
 
 import numpy as np
 
+__all__ = ["ParameterError", "DimensionMismatchError", "ConfigError", "DivergenceError"]
+
+# The most float64 items one numpy array can hold: its size in bytes must fit an intp.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+# How step() and the engine word a run whose weights overflowed.
+NON_FINITE = "weights became non-finite"
+
 
 class ParameterError(ValueError):
     """A scalar parameter violates its documented range."""
@@ -56,19 +64,31 @@ def check_integer(name, value, low=None, high=None):
     return value
 
 
+def check_count(name, value, floats_each=1):
+    """``value`` as an int if it is an integer >= 1 and ``value`` items of
+    ``floats_each`` float64s fit one numpy array; else a ParameterError naming it,
+    which words the upper bound only for a value above it."""
+    value = check_integer(name, value, 1)
+    return check_integer(name, value, 1, _MAX_FLOATS // floats_each)
+
+
 def check_real(name, value, *, ge=None, gt=None, lt=None):
-    """``value`` if it is a real number, numpy's included, with ``value >= ge`` or
-    ``value > gt`` (one of the two is given) and ``value < lt`` unless ``lt`` is None;
-    else a ParameterError naming it.  ``lt=math.inf`` asks for a finite value; nan
-    fails every bound."""
+    """``value`` as a float if it is a real number, numpy's included, with ``value >=
+    ge`` or ``value > gt`` (one of the two is given) and ``value < lt`` unless ``lt`` is
+    None; else a ParameterError naming it.  ``lt=math.inf`` asks for a finite value; nan
+    fails every bound, and a number beyond float64's range is read as +-inf."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise not_numbers(name, value, "a real number")
+    try:
+        real = float(value)
+    except OverflowError:
+        value = real = math.inf if value > 0 else -math.inf
     if not (
-        (ge is None or value >= ge) and (gt is None or value > gt) and (lt is None or value < lt)
+        (ge is None or real >= ge) and (gt is None or real > gt) and (lt is None or real < lt)
     ):
         low = (">=", ge) if gt is None else (">", gt)
         raise _out_of_range(name, value, low, ("<", lt))
-    return value
+    return real
 
 
 def check_instance(name, value, kind):
@@ -92,8 +112,16 @@ def _out_of_range(name, value, low, high):
 
 
 def not_numbers(name, value, kind="an array of floats"):
-    """The error for ``value`` that cannot be read as ``kind``: ragged, or not numbers."""
+    """The error for ``value`` that is not ``kind``: ragged, not numbers or not iterable."""
     return ParameterError(f"{name} must be {kind}, got {value!r}")
+
+
+def as_tuple(name, value):
+    """``value``'s items as a tuple; the ``not_numbers`` error if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise not_numbers(name, value, "a sequence") from None
 
 
 def as_floats(name, value):

@@ -32,11 +32,13 @@ import numpy as np
 
 from .config import _check_level
 from .errors import (
+    NON_FINITE,
     ConfigError,
     DimensionMismatchError,
     DivergenceError,
     ParameterError,
     as_floats,
+    as_tuple,
     check_instance,
     check_integer,
     quietly,
@@ -53,8 +55,8 @@ __all__ = [
     "steady_state",
 ]
 
-# A single trace sample above this aborts the cell: the step-level finite
-# check catches overflow, this catches runaway-but-finite instability.
+# A single trace sample above this fails its run: the finite check catches
+# overflow, this catches runaway-but-finite instability.
 _TRACE_ABORT = 1e6
 
 
@@ -200,7 +202,8 @@ def run_trial(system, x, noise, cfg, iterations):
     Raises
     ------
     DivergenceError
-        If the weights go non-finite, with the offending iteration index.
+        If the run fails by the cells' rule (see :func:`_check_runs`), with the
+        offending iteration index.
     """
     system = np.ascontiguousarray(as_floats("system", system))
     x = np.ascontiguousarray(as_floats("x", x))
@@ -213,33 +216,42 @@ def run_trial(system, x, noise, cfg, iterations):
         )
     signal = _batch_signal(system[None], x[None], noise[None], iterations)
     traces, bad = _run_batch(*signal, cfg)
-    if bad[0] >= 0:
-        raise DivergenceError(
-            f"weights became non-finite at iteration {bad[0]}", iteration=int(bad[0])
-        )
+    _check_runs(traces, bad)
     return traces[0]
+
+
+def _check_runs(traces, bad, variant=None, level=None, n_taps=None):
+    """Raise the DivergenceError of a batch's first failed run, if any.
+
+    A run fails where its weights go non-finite (``bad``, from ``_run_batch``)
+    or, if they never do, where its trace first exceeds ``_TRACE_ABORT``.  With
+    a ``variant``, the error names the run and its cell, of ``level``/``n_taps``.
+    """
+    failed = (bad >= 0) | (traces.max(axis=1) > _TRACE_ABORT)
+    if not failed.any():
+        return
+    r = int(np.argmax(failed))
+    if bad[r] >= 0:
+        k, what = int(bad[r]), NON_FINITE
+    else:
+        k = int(np.argmax(traces[r] > _TRACE_ABORT))
+        what = f"squared deviation exceeded {_TRACE_ABORT:g}"
+    if variant is None:
+        raise DivergenceError(f"{what} at iteration {k}", iteration=k)
+    raise DivergenceError(
+        f"{what} at iteration {k} (run {r}, {variant.value} {level}/{n_taps})",
+        iteration=k, run=r, variant=variant, level=level,
+    )
 
 
 def _run_variant(config, cfg, level, signal):
     """One cell on its level's shared signal: engine, checks, run-order mean."""
-    variant = cfg.variant
     traces, bad = _run_batch(*signal, cfg)
-    failed = (bad >= 0) | (traces.max(axis=1) > _TRACE_ABORT)
-    if failed.any():
-        r = int(np.argmax(failed))
-        if bad[r] >= 0:
-            k, what = int(bad[r]), "weights became non-finite"
-        else:
-            k = int(np.argmax(traces[r] > _TRACE_ABORT))
-            what = f"squared deviation exceeded {_TRACE_ABORT:g}"
-        cell = f"run {r}, {variant.value} {level}/{config.n_taps}"
-        raise DivergenceError(
-            f"{what} at iteration {k} ({cell})", iteration=k, run=r, variant=variant, level=level
-        )
+    _check_runs(traces, bad, cfg.variant, level, config.n_taps)
     # a copy, so that the curve does not keep the whole trace array alive
     tails = traces[:, -config.steady_state_window :].copy()
     mean = _left_fold(traces) / config.runs
-    return MsdCurve(variant, level, config.n_taps, mean, config.runs, tails)
+    return MsdCurve(cfg.variant, level, config.n_taps, mean, config.runs, tails)
 
 
 def _run_level(config, cfgs, level):
@@ -290,15 +302,12 @@ def run_experiment(config, variants=None, levels=None):
         Once every cell has run: the first diverging cell's in variant-major
         order, naming its first diverging run and the iteration.
     """
-    # a list: every level iterates it
-    variants = list(Variant) if variants is None else list(variants)
+    variants = tuple(Variant) if variants is None else as_tuple("variants", variants)
     for variant in variants:
         if not isinstance(variant, Variant):
             raise ParameterError(f"variants must be Variant members, got {variant!r}")
-    if levels is None:
-        levels = config.sparsity_levels
-    else:
-        levels = [_check_level(s, config.n_taps) for s in levels]
+    levels = config.sparsity_levels if levels is None else as_tuple("levels", levels)
+    levels = [_check_level(s, config.n_taps) for s in levels]
     for what, names in (("variant", [v.value for v in variants]), ("sparsity level", levels)):
         repeats = [name for i, name in enumerate(names) if name in names[:i]]
         if repeats:

@@ -25,11 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    NON_FINITE,
     QUIET,
     DimensionMismatchError,
     DivergenceError,
     ParameterError,
     as_floats,
+    check_count,
     check_instance,
     check_integer,
     check_real,
@@ -64,17 +66,22 @@ class LeakSign(enum.Enum):
     MINUS = "minus"
 
 
-_LEAKY = (Variant.LLMS, Variant.LP_LIKE_LLMS)
-_SHRINKING = (Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS)
-
-# The variants that read each hyperparameter of AlgorithmConfig; the others ignore it.
+# The variants that read each hyperparameter of AlgorithmConfig; the others ignore
+# it.  "gamma" names the leaky variants and "rho_pl" the shrinkage ones.
 _READERS = {
     "mu": tuple(Variant),
-    "gamma": _LEAKY,
-    "rho_pl": _SHRINKING,
-    "epsilon_pl": _SHRINKING,
-    "p": _SHRINKING,
+    "gamma": (Variant.LLMS, Variant.LP_LIKE_LLMS),
+    **dict.fromkeys(("rho_pl", "epsilon_pl", "p"), (Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS)),
     "leak_sign": (Variant.LP_LIKE_LLMS,),
+}
+
+# The range of each real hyperparameter, checked when the variant reads it.
+_RANGES = {
+    "mu": {"ge": 0, "lt": math.inf},
+    "gamma": {"ge": 0, "lt": 1},
+    "p": {"gt": 0, "lt": 1},
+    "rho_pl": {"ge": 0, "lt": math.inf},
+    "epsilon_pl": {"gt": 0, "lt": math.inf},
 }
 
 
@@ -119,13 +126,9 @@ class AlgorithmConfig:
         if self.leak_sign is None:
             default = LeakSign.PLUS if self.variant in _READERS["leak_sign"] else LeakSign.MINUS
             object.__setattr__(self, "leak_sign", default)
-        check_real("mu", self.mu, ge=0, lt=math.inf)
-        if self.variant in _LEAKY:
-            check_real("gamma", self.gamma, ge=0, lt=1)
-        if self.variant in _SHRINKING:
-            check_real("p", self.p, gt=0, lt=1)
-            check_real("rho_pl", self.rho_pl, ge=0, lt=math.inf)
-            check_real("epsilon_pl", self.epsilon_pl, gt=0, lt=math.inf)
+        for name, bounds in _RANGES.items():
+            if self.variant in _READERS[name]:
+                object.__setattr__(self, name, check_real(name, getattr(self, name), **bounds))
 
     # Per-config constants of step() and the engine, computed on first use and
     # cached on the instance; dataclasses.replace builds a new instance, so they follow.
@@ -136,7 +139,7 @@ class AlgorithmConfig:
         ``1 - mu*gamma`` for ``llms``; ``1 + mu*gamma`` or ``1 - mu*gamma``, by
         ``leak_sign``, for ``lp_like_llms``; 1 for the variants without leakage.
         """
-        if self.variant not in _LEAKY:
+        if self.variant not in _READERS["gamma"]:
             return 1.0
         if self.variant in _READERS["leak_sign"] and self.leak_sign is LeakSign.PLUS:
             return 1.0 + self.mu * self.gamma
@@ -154,7 +157,7 @@ class AlgorithmConfig:
         """
         leak_mult = None if self.leak_mult == 1.0 else np.array(self.leak_mult)
         shrink = None
-        if self.variant in _SHRINKING:
+        if self.variant in _READERS["rho_pl"]:
             rho_pl, p, epsilon_pl = (np.array(c) for c in (self.rho_pl, self.p, self.epsilon_pl))
             shrink = (rho_pl, p, 1.0 - self.p, epsilon_pl)
         return np.array(self.mu), leak_mult, shrink
@@ -179,7 +182,7 @@ class FilterState:
     @classmethod
     def zeros(cls, n_taps):
         """All-zero estimate of the given length, iteration counter at 0."""
-        return cls(np.zeros(check_integer("n_taps", n_taps, 1)), 0)
+        return cls(np.zeros(check_count("n_taps", n_taps)), 0)
 
     @classmethod
     def _next(cls, weights, iteration):
@@ -205,7 +208,7 @@ def pnorm_like(w, p):
     Not a norm (the triangle inequality fails for p < 1); 0**p is taken
     as 0, so the zero vector scores 0.
     """
-    check_real("p", p, gt=0, lt=1)
+    p = check_real("p", p, gt=0, lt=1)
     w = as_floats("w", w)
     return float(np.sum(np.abs(w) ** p))
 
@@ -226,8 +229,8 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
         with ``epsilon_pl = 0`` an element is ``inf`` where ``p/|w_i|**(1-p)``
         is too large for a float.
     """
-    check_real("p", p, gt=0, lt=1)
-    check_real("epsilon_pl", epsilon_pl, ge=0)
+    p = check_real("p", p, gt=0, lt=1)
+    epsilon_pl = check_real("epsilon_pl", epsilon_pl, ge=0)
     w = as_floats("w", w)
     denom = epsilon_pl + np.abs(w) ** (1.0 - p)
     return np.divide(p * np.sign(w), denom, out=np.zeros_like(w), where=w != 0.0)
@@ -287,7 +290,6 @@ def _step(state, x, desired, cfg):
     # elementwise check.  Summing Python floats is cheaper than a numpy reduce.
     if not math.isfinite(sum(new_w.tolist())) and not np.isfinite(new_w).all():
         raise DivergenceError(
-            f"weights became non-finite at iteration {state.iteration}",
-            iteration=state.iteration,
+            f"{NON_FINITE} at iteration {state.iteration}", iteration=state.iteration
         )
     return FilterState._next(new_w, state.iteration + 1), e

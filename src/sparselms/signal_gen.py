@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, as_floats, check_integer, check_real, quietly
+from .errors import ParameterError, as_floats, check_count, check_integer, check_real, quietly
 
 __all__ = [
     "RngStream",
@@ -48,7 +48,7 @@ def _gen(rng):
 
 
 def _check_system(n_taps, n_nonzero):
-    n_taps = check_integer("n_taps", n_taps, 1)
+    n_taps = check_count("n_taps", n_taps)
     check_integer("n_nonzero", n_nonzero, 1, n_taps)
 
 
@@ -71,10 +71,12 @@ def gen_sparse_system(n_taps, n_nonzero, rng):
     return w
 
 
-def _check_ar1(length, coeff, drive_variance):
-    check_integer("length", length, 1)
-    check_real("coeff", coeff, gt=-1, lt=1)  # the process is non-stationary otherwise
-    check_real("drive_variance", drive_variance, gt=0, lt=math.inf)
+def _check_ar1(length, coeff, drive_variance, floats_each=1):
+    """``(length, coeff, drive_variance)`` as an int and two floats; else a ParameterError.
+    ``floats_each`` float64s per sample must fit one numpy array."""
+    length = check_count("length", length, floats_each)
+    coeff = check_real("coeff", coeff, gt=-1, lt=1)  # the process is non-stationary otherwise
+    return length, coeff, check_real("drive_variance", drive_variance, gt=0, lt=math.inf)
 
 
 @quietly
@@ -112,15 +114,15 @@ def gen_ar1_input(length, coeff, drive_variance, rng):
     its sample standard deviation (denominator ``length``; the sample mean
     is left in place).  The post-scaling sample variance is exactly 1.
     """
-    _check_ar1(length, coeff, drive_variance)
+    length, coeff, drive_variance = _check_ar1(length, coeff, drive_variance)
     u = _gen(rng).standard_normal(length) * np.sqrt(drive_variance)
     return _ar1_unit_variance(u[None], coeff)[0]
 
 
 def gen_gaussian_noise(length, variance, rng):
     """I.i.d. zero-mean Gaussian samples of the given variance."""
-    check_integer("length", length, 1)
-    check_real("variance", variance, ge=0, lt=math.inf)
+    length = check_count("length", length)
+    variance = check_real("variance", variance, ge=0, lt=math.inf)
     return _gen(rng).standard_normal(length) * np.sqrt(variance)
 
 
@@ -139,10 +141,10 @@ def gen_cell_realizations(
     draws of ``length`` (the sampler consumes its stream sequentially).
     All drives are filtered together.
     """
-    check_integer("runs", runs, 1)
     _check_system(n_taps, n_nonzero)
-    _check_ar1(length, coeff, drive_variance)
-    check_real("noise_variance", noise_variance, ge=0, lt=math.inf)
+    length, coeff, drive_variance = _check_ar1(length, coeff, drive_variance, 2)
+    runs = check_count("runs", runs, 2 * length)  # z, the largest array, is runs x 2*length
+    noise_variance = check_real("noise_variance", noise_variance, ge=0, lt=math.inf)
     positions = np.empty((runs, n_nonzero), dtype=np.intp)
     signs = np.empty((runs, n_nonzero))
     z = np.empty((runs, 2 * length))
@@ -165,7 +167,7 @@ def regressor_at(x, k, n_taps):
     """
     x = as_floats("x", x)
     check_integer("k", k)
-    check_integer("n_taps", n_taps, 1)
+    check_count("n_taps", n_taps)
     if not 0 <= k < x.shape[0]:
         raise IndexError(f"index {k} out of bounds for signal of length {x.shape[0]}")
     out = np.zeros(n_taps)

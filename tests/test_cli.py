@@ -261,6 +261,28 @@ def test_every_public_name_resolves():
     assert unresolved == []
 
 
+def test_each_module_lists_its_public_names_once():
+    # the package's __all__ joins its modules' lists, in the order it star-imports them
+    init = Path(sparselms.__file__)
+    tree = ast.parse(init.read_text())
+    starred = [
+        node.module for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
+    ]
+    joined = [
+        name for module in starred
+        for name in importlib.import_module(f"sparselms.{module}").__all__
+    ]
+    assert sparselms.__all__ == joined
+    assert len(joined) == len(set(joined)) == 28
+    # and __init__.py names no public symbol by hand, as a string or an identifier
+    written = {
+        getattr(node, field) for node in ast.walk(tree) for field in ("id", "name", "attr", "value")
+        if isinstance(getattr(node, field, None), str)
+    }
+    assert written & set(joined) == set()
+
+
 # ----------------------------------------------------------------- emit_csv
 
 
@@ -603,6 +625,30 @@ def test_overflowing_drive_variance_fails_by_name(tmp_path, capsys):
     assert not (tmp_path / "o" / "msd_curves.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--runs", str(2**64)], f"runs must satisfy 1 <= runs <= {2**60 - 1}, got {2**64}"),
+        (
+            ["--runs", str(2**63 - 1)],
+            f"runs must satisfy 1 <= runs <= {2**60 - 1}, got {2**63 - 1}",
+        ),
+        (
+            ["--iterations", str(2**64)],
+            f"iterations must satisfy 1 <= iterations <= {2**60 - 1}, got {2**64}",
+        ),
+    ],
+    ids=["runs-2**64", "runs-2**63-1", "iterations-2**64"],
+)
+def test_count_too_large_for_numpy_fails_by_name(tmp_path, capsys, flags, message):
+    # numpy refuses each size before it allocates: a traceback of its ValueError before
+    rc = main(["--sr", "1/16", "--algorithms", "lms", "--runs", "1", "--iterations", "10",
+               *flags, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_of_memory_fails_by_name(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 25.3 GiB for an array")
@@ -619,8 +665,11 @@ def test_out_of_memory_fails_by_name(tmp_path, capsys, monkeypatch):
 
 
 # Run fuzz: every size is bounded (runs <= 3, iterations <= 30, n_taps and
-# levels <= 32), so that no example allocates more than a few MB.
-SPECIAL = st.sampled_from(["0", "-1", "-2.5", "inf", "-inf", "nan", "1e308", "5e-324", "2.5"])
+# levels <= 32), so that no example allocates more than a few MB; the one
+# oversize count, 2**64, is refused before anything is allocated.
+SPECIAL = st.sampled_from(
+    ["0", "-1", "-2.5", "inf", "-inf", "nan", "1e308", "5e-324", "2.5", str(2**64)]
+)
 
 
 def _floats(lo, hi):

@@ -273,16 +273,30 @@ def test_run_cell_reports_first_diverging_run_in_run_order(monkeypatch):
     assert exc.value.variant is Variant.LMS and exc.value.level == 4
 
 
+# anti-leak with the constraint off amplifies the weights geometrically
+RUNAWAY = AlgorithmConfig(
+    Variant.LP_LIKE_LLMS, mu=0.1, gamma=0.9, rho_pl=0.0, leak_sign=LeakSign.PLUS
+)
+
+
 def test_run_cell_aborts_on_runaway_but_finite_trace():
-    # anti-leak with the constraint off amplifies the weights geometrically
-    sched = {
-        (Variant.LP_LIKE_LLMS, 4): AlgorithmConfig(
-            Variant.LP_LIKE_LLMS, mu=0.1, gamma=0.9, rho_pl=0.0, leak_sign=LeakSign.PLUS
-        )
-    }
-    config = small_config(runs=1, iterations=2000, schedule=sched)
+    config = small_config(runs=1, iterations=2000, schedule={(Variant.LP_LIKE_LLMS, 4): RUNAWAY})
     with pytest.raises(DivergenceError, match="exceeded"):
         run_experiment(config, [Variant.LP_LIKE_LLMS], [4])[0]
+
+
+def test_run_trial_fails_where_its_cell_does():
+    # run_trial once returned this run's trace, climbing to 5.8e250, where the cell raised
+    config = small_config(runs=1, iterations=2000, schedule={(Variant.LP_LIKE_LLMS, 4): RUNAWAY})
+    with pytest.raises(DivergenceError) as cell:
+        run_experiment(config, [Variant.LP_LIKE_LLMS], [4])
+    system, x, noise = trial_inputs(config.master_seed, 4, 16, 2016)
+    with pytest.raises(DivergenceError) as trial:
+        run_trial(system, x, noise, RUNAWAY, 2000)
+    assert cell.value.iteration == trial.value.iteration == 84
+    assert str(trial.value) == "squared deviation exceeded 1e+06 at iteration 84"
+    assert str(cell.value) == f"{trial.value} (run 0, lp_like_llms 4/16)"
+    assert (trial.value.run, trial.value.variant, trial.value.level) == (None, None, None)
 
 
 def test_run_experiment_covers_requested_cells():
@@ -592,6 +606,20 @@ REAL = "must be a real number, got"
         (functools.partial(AlgorithmConfig, mu=True), (Variant.LMS,), f"mu {REAL} True"),
         (functools.partial(ExperimentConfig, ar_coeff=0.5j), (), f"ar_coeff {REAL} 0.5j"),
         (pnorm_like, ([1.0], np.array(0.5)), f"p {REAL} array(0.5)"),
+        # containers that are not iterable
+        (
+            functools.partial(ExperimentConfig, sparsity_levels=None), (),
+            "sparsity_levels must be a sequence, got None",
+        ),
+        (
+            functools.partial(ExperimentConfig, sparsity_levels=1), (),
+            "sparsity_levels must be a sequence, got 1",
+        ),
+        (
+            run_experiment, (small_config(), Variant.LMS, [1]),
+            "variants must be a sequence, got <Variant.LMS: 'lms'>",
+        ),
+        (run_experiment, (small_config(), [Variant.LMS], 1), "levels must be a sequence, got 1"),
     ],
     ids=[
         "step-desired-str", "step-desired-none", "step-desired-list",
@@ -603,15 +631,76 @@ REAL = "must be a real number, got"
         "pnorm_like_gradient_term-epsilon_pl", "gen_ar1_input-coeff",
         "gen_gaussian_noise-variance", "gen_cell_realizations-noise_variance",
         "config-mu-bool", "experiment-ar_coeff-complex", "pnorm_like-p-array",
+        "experiment-levels-none", "experiment-levels-int", "run_experiment-variants",
+        "run_experiment-levels",
     ],
 )
 def test_non_numeric_input_fails_by_name(func, args, message):
-    # each raised a bare ValueError or TypeError before (numpy's, float()'s or a
-    # comparison's), or was taken as a number: a bool as 0 or 1
+    # each raised a bare ValueError or TypeError before (numpy's, float()'s, a
+    # comparison's or iter()'s), or was taken as a number: a bool as 0 or 1
     with pytest.raises(ParameterError) as exc:
         func(*args)
     assert str(exc.value) == message
 
+
+
+def test_reals_are_read_as_floats():
+    # a Python int of 2**64 passed the checks, then became an object array in numpy
+    cfg = AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=2**64, gamma=0, rho_pl=np.float32(0.5))
+    assert [type(v) for v in (cfg.mu, cfg.gamma, cfg.rho_pl)] == [float] * 3
+    assert cfg._operands[0].dtype == np.float64
+    assert ExperimentConfig(noise_variance=1, ar_coeff=np.float64(0.5)).noise_variance == 1.0
+    noise = gen_gaussian_noise(10, 2**64, RngStream(1))
+    np.testing.assert_array_equal(noise, gen_gaussian_noise(10, float(2**64), RngStream(1)))
+    # a number beyond float64's range is infinite, and fails the "finite" rule by name
+    for make, message in [
+        (lambda: AlgorithmConfig(Variant.LMS, mu=10**400), "mu must be finite and >= 0, got inf"),
+        (
+            lambda: ExperimentConfig(drive_variance=-(10**400)),
+            "drive_variance must be finite and > 0, got -inf",
+        ),
+        (
+            lambda: gen_gaussian_noise(10, 10**400, RngStream(1)),
+            "variance must be finite and >= 0, got inf",
+        ),
+    ]:
+        with pytest.raises(ParameterError) as exc:
+            make()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "func, message",
+    [
+        (lambda: FilterState.zeros(2**64), f"n_taps must satisfy 1 <= n_taps <= {2**60 - 1}"),
+        (
+            lambda: gen_sparse_system(2**64 - 1, 1, RngStream(1)),
+            f"n_taps must satisfy 1 <= n_taps <= {2**60 - 1}",
+        ),
+        (
+            lambda: gen_cell_realizations(1, 2, 2**64 - 1, 1, 10, 0.8, 1.0, 1.0),
+            f"n_taps must satisfy 1 <= n_taps <= {2**60 - 1}",
+        ),
+        (lambda: ExperimentConfig(runs=2**63 - 1), f"runs must satisfy 1 <= runs <= {2**60 - 1}"),
+        # each count fits, but not their (runs x 2*length) buffer
+        (
+            lambda: gen_cell_realizations(1, 2**40, 16, 1, 2**40, 0.8, 1.0, 1.0),
+            f"runs must satisfy 1 <= runs <= {(2**60 - 1) // 2**41}",
+        ),
+        (
+            lambda: gen_cell_realizations(1, 1, 16, 1, 2**59, 0.8, 1.0, 1.0),
+            f"length must satisfy 1 <= length <= {(2**60 - 1) // 2}",
+        ),
+    ],
+    ids=["zeros", "gen_sparse_system", "gen_cell_realizations-taps", "config-runs",
+         "gen_cell_realizations-buffer", "gen_cell_realizations-length"],
+)
+def test_count_too_large_for_numpy_fails_by_name(func, message):
+    # numpy refuses each size before it allocates; its bare ValueError or
+    # OverflowError came through before
+    with pytest.raises(ParameterError) as exc:
+        func()
+    assert str(exc.value).startswith(f"{message}, got ")
 
 
 def test_experiment_config_defaults():
