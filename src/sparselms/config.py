@@ -108,6 +108,11 @@ class ExperimentConfig:
         self.n_taps = check_count("n_taps", self.n_taps)
         self.iterations = check_count("iterations", self.iterations)
         self.runs = check_count("runs", self.runs)
+        # a level draws every run's input and noise into one array (signal_gen)
+        check_count(
+            "runs", self.runs, 2 * (self.iterations + self.n_taps),
+            f"2*(iterations + n_taps) = 2*({self.iterations} + {self.n_taps})",
+        )
         self.master_seed = check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
         self.sparsity_levels = tuple(
             _check_level(s, self.n_taps) for s in as_tuple("sparsity_levels", self.sparsity_levels)

@@ -15,6 +15,8 @@ comes from ``AlgorithmConfig.variant``.  With ``e = d - w . x``:
 
 :func:`step` is a pure function: it takes a :class:`FilterState` and
 returns a new one with the pre-update error, never mutating its inputs.
+It computes as the engine in :mod:`sparselms.experiment` does, ``w . x``
+included, so a loop of steps equals the engine's run bit for bit.
 """
 
 import enum
@@ -189,8 +191,13 @@ class FilterState:
         """step()'s result, built without ``__post_init__``: ``weights`` is a
         fresh 1-d float64 array that step() made."""
         state = object.__new__(cls)
-        state.__dict__.update(weights=weights, iteration=iteration)
+        fields = state.__dict__
+        fields["weights"] = weights
+        fields["iteration"] = iteration
         return state
+
+
+_FLOAT64 = np.dtype(float)
 
 
 def _check_lengths(w, x):
@@ -248,16 +255,18 @@ def step(state, x, desired, cfg):
     -------
     (FilterState, float)
         The new state and the pre-update error ``e = desired - w . x``,
-        which is the same for every variant.
+        which is the same for every variant; ``w . x`` is summed left to
+        right over the taps, as the engine sums it.
     """
     return QUIET.copy().run(_step, state, x, desired, cfg)
 
 
 def _step(state, x, desired, cfg):
-    try:  # free on Python 3.11+ unless it raises
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise not_numbers("regressor", x) from None
+    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:  # else asarray returns x
+        try:  # free on Python 3.11+ unless it raises
+            x = np.asarray(x, dtype=float)
+        except (TypeError, ValueError):
+            raise not_numbers("regressor", x) from None
     try:
         desired = float(desired)
     except (TypeError, ValueError):
@@ -265,10 +274,12 @@ def _step(state, x, desired, cfg):
     w = state.weights
     if w.shape != x.shape:
         _check_lengths(w, x)
-    e = desired - float(w.dot(x))
-    # mu*e as Python floats, far cheaper than with a 0-d mu; then the array
-    # first, so ndarray.__mul__ runs without float.__mul__'s detour
-    new_w = x * (cfg.mu * e)
+    # the engine's left fold over taps, so that step() equals it bit for bit;
+    # w.dot(x) would call BLAS, whose summation order depends on the CPU
+    e = desired - float(np.add.accumulate(w * x)[-1])
+    # mu*e as Python floats, far cheaper than with a 0-d mu; numpy then applies
+    # the product to an array faster as a 0-d array than as a Python float
+    new_w = x * np.array(cfg.mu * e)
     _, leak_mult, shrink = cfg._operands
     new_w += w if leak_mult is None else leak_mult * w  # IEEE addition commutes
     if shrink is not None:

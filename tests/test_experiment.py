@@ -102,8 +102,9 @@ def test_run_trial_is_bit_deterministic():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_trial_matches_stepwise_reference(variant):
-    # the batched engine must agree with the one-sample step API; the two
-    # differ only in the summation order of the regressor products
+    # the batched engine must agree with the one-sample step API; this loop
+    # forms the desired sample and the deviation with np.dot, so it differs
+    # from the engine only in the summation order of those two sums
     cfg = default_schedule()[(variant, 4)]
     for seed, n, rtol, atol in ((4, 200, 1e-10, 1e-15), (100, 400, 1e-12, 0.0)):
         system, x, noise = trial_inputs(seed, length=n + 16)
@@ -682,6 +683,11 @@ def test_reals_are_read_as_floats():
             f"n_taps must satisfy 1 <= n_taps <= {2**60 - 1}",
         ),
         (lambda: ExperimentConfig(runs=2**63 - 1), f"runs must satisfy 1 <= runs <= {2**60 - 1}"),
+        # each count fits, but not a level's (runs x 2*(iterations + n_taps)) buffer
+        (
+            lambda: ExperimentConfig(runs=2**40, iterations=2**40),
+            f"runs must satisfy 1 <= runs <= {(2**60 - 1) // (2**41 + 32)}",
+        ),
         # each count fits, but not their (runs x 2*length) buffer
         (
             lambda: gen_cell_realizations(1, 2**40, 16, 1, 2**40, 0.8, 1.0, 1.0),
@@ -693,7 +699,7 @@ def test_reals_are_read_as_floats():
         ),
     ],
     ids=["zeros", "gen_sparse_system", "gen_cell_realizations-taps", "config-runs",
-         "gen_cell_realizations-buffer", "gen_cell_realizations-length"],
+         "config-buffer", "gen_cell_realizations-buffer", "gen_cell_realizations-length"],
 )
 def test_count_too_large_for_numpy_fails_by_name(func, message):
     # numpy refuses each size before it allocates; its bare ValueError or
@@ -701,6 +707,19 @@ def test_count_too_large_for_numpy_fails_by_name(func, message):
     with pytest.raises(ParameterError) as exc:
         func()
     assert str(exc.value).startswith(f"{message}, got ")
+
+
+def test_config_bounds_a_levels_buffer():
+    # runs 2**40 and iterations 2**40 each fit numpy alone; before, only
+    # gen_cell_realizations refused them, with a bound the config never stated
+    bound = (2**60 - 1) // (2 * (2**40 + 16))
+    with pytest.raises(ParameterError) as exc:
+        ExperimentConfig(runs=bound + 1, iterations=2**40)
+    assert str(exc.value) == (
+        f"runs must satisfy 1 <= runs <= {bound}, got {bound + 1} (runs of "
+        f"2*(iterations + n_taps) = 2*({2**40} + 16) float64s each must fit one numpy array)"
+    )
+    assert ExperimentConfig(runs=bound, iterations=2**40).runs == bound  # nothing is allocated
 
 
 def test_experiment_config_defaults():

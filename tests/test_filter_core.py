@@ -1,9 +1,17 @@
+import contextlib
+import copy
 import dataclasses
 import hashlib
+import io
+import json
 import math
+import pickle
 import re
+import subprocess
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +20,7 @@ from sparselms import (
     AlgorithmConfig,
     DimensionMismatchError,
     DivergenceError,
+    ExperimentConfig,
     FilterState,
     LeakSign,
     ParameterError,
@@ -20,6 +29,7 @@ from sparselms import (
     pnorm_like_gradient_term,
     step,
 )
+from sparselms.cli import main
 
 
 def random_cfg(variant, rng, leak_sign=None):
@@ -195,49 +205,60 @@ def test_step_shrinkage_at_p_half_is_a_square_root(variant):
     np.testing.assert_array_equal(out.weights, expected)
 
 
+def left_fold(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_step_error_is_variant_independent(variant):
     cfg = random_cfg(variant, np.random.default_rng(5))
     _, err = step(FilterState.zeros(2), [1.0, 1.0], 3.0, cfg)
     assert err == 3.0
-    # the pre-update error e = d - w . x, from nonzero weights
+    # the pre-update error e = d - w . x, from nonzero weights, with w . x
+    # summed left to right as the engine sums it; products of mixed
+    # magnitudes, so that the summation order shows in the last bits
     rng = np.random.default_rng(11)
-    state = FilterState(rng.standard_normal(6))
-    x = rng.standard_normal(6)
+    state = FilterState(rng.standard_normal(16) * 10.0 ** rng.uniform(-8, 8, 16))
+    x = rng.standard_normal(16)
     d = rng.standard_normal()
+    products = (state.weights * x).tolist()
+    assert left_fold(products) != left_fold(products[::-1])
     _, err = step(state, x, d, cfg)
-    assert err == float(d) - float(np.dot(state.weights, x))
+    assert err == float(d) - left_fold(products)
 
 
 # sha256 of the weights after every step, then the errors, of a 2000-step
-# loop from zero weights; taken when step() still multiplied by an identity
-# leak and checked every weight for finiteness, so any change to its
-# arithmetic shows here bit for bit
+# loop from zero weights, with w . x summed as the engine's left fold, so any
+# change to step()'s arithmetic shows here bit for bit; on another CPU only
+# the POWER_LOOP_DIGESTS below may differ
 LOOP_SHA256 = {
     (Variant.LMS, None): (
-        "b7eda8f28b244f209c9ab448e1a3c0af4caae5898e07f5003a0f97de5726c772"
+        "bbd2d75fd28e3d25a5db74c80e37b5c5b3ecf9d0287f14552c0ad1137c0c61ef"
     ),
     (Variant.LLMS, None): (
-        "8e981afbe2d4de2cae02d67ddad866d6c9f9ad6942c01d3c21d72790bd48739d"
+        "f250842b0061a7101dba04c965109f14e8a2ca845eaacf52c42815ac9bc9ff7f"
     ),
     (Variant.LP_LIKE_LMS, None): (
-        "4fe991d62f53e7d39cc34600b10c40697b1ebcba8937b5cd77e08b109e444a22"
+        "c99ca3d4af92067cd493715098f548e4010106fa6999e7027cbdd8f4b24c668b"
     ),
     (Variant.LP_LIKE_LLMS, None): (
-        "f219ebe554e78c684f0d345b6b55e11483f4e8494588ae97b03446319d1d37ef"
+        "da69eda6afc7952ae942e8300f592cb95f9ccf86331478e9074f7b32c6953206"
     ),
     (Variant.LP_LIKE_LLMS, LeakSign.MINUS): (
-        "9e51fc070bba4da40b5ce4d3639de92035ead87c95644eb72ed50a57e39f9346"
+        "6a0387305a599e417f50e686432bdf816b723d10cc7f8e6bfb9d3ae47e983a0b"
     ),
 }
 
 
 # the same loop at the default study's p = 0.5, epsilon_pl = 10 and
-# rho_pl = 0.003, where numpy takes |w|**(1-p) as a square root rather than
-# through its general power loop; taken before step() shrank in place
+# rho_pl = 0.003, where numpy takes |w|**(1-p) as a correctly rounded square
+# root rather than through its general power loop
 SQRT_LOOP_SHA256 = {
-    Variant.LP_LIKE_LMS: "b5f53d37d7e0f93aee30718753597b8c10d6a7643c91674363a3ecaf4a052d17",
-    Variant.LP_LIKE_LLMS: "dc32139ba9b542731e44daec32b06c458945b9a609c585f4f41adb10069a0813",
+    Variant.LP_LIKE_LMS: "9d0ce9f9258d9377be7f03869d6fa9527c2fe58c3e55b5405bacce4fb4c32063",
+    Variant.LP_LIKE_LLMS: "45e3e153161daf207c116b07202795ad41be30d7c15d9f3e3dedbd6895461ba3",
 }
 
 
@@ -274,6 +295,78 @@ def test_step_loop_bits_are_stored(case):
 def test_step_loop_bits_at_p_half_are_stored(variant):
     digest = loop_sha256(variant, None, p=0.5, epsilon_pl=10.0, rho_pl=0.003)
     assert digest == SQRT_LOOP_SHA256[variant]
+
+
+def portable_digests(out_dir):
+    """sha256 of the seven stored step loops and of a small study's CSV, by name."""
+    digests = {
+        f"LOOP_SHA256[{variant.value}-{sign}]": loop_sha256(variant, sign)
+        for variant, sign in LOOP_SHA256
+    }
+    for variant in SQRT_LOOP_SHA256:
+        digests[f"SQRT_LOOP_SHA256[{variant.value}]"] = loop_sha256(
+            variant, None, p=0.5, epsilon_pl=10.0, rho_pl=0.003
+        )
+    argv = ["--runs", "3", "--iterations", "300", "--sr", "1/16,16/16", "--out", str(out_dir)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    digests["study-csv"] = hashlib.sha256((out_dir / "msd_curves.csv").read_bytes()).hexdigest()
+    return digests
+
+
+PORTABLE_CHILD = """
+import json, sys
+from pathlib import Path
+sys.path.insert(0, {tests!r})
+from test_filter_core import portable_digests
+print(json.dumps(portable_digests(Path({out!r}))))
+"""
+
+# At p = 0.3 numpy's power loop rounds |w|**0.7 in the last bit by its SIMD
+# target, and the lp_like_llms loops carry that into their weights.
+POWER_LOOP_DIGESTS = {
+    "LOOP_SHA256[lp_like_llms-None]", "LOOP_SHA256[lp_like_llms-LeakSign.MINUS]"
+}
+
+
+def cpu_settings():
+    """Settings that make OpenBLAS and numpy pick other kernels in a child process.
+
+    Each only picks a kernel this CPU has or switches targets off: OpenBLAS's
+    Haswell kernels need AVX2, which numpy 2.4 reports as part of X86_V3.
+    """
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    found = simd.get("found", [])
+    settings = {}
+    if {"AVX2", "X86_V3", "X86_V4"} & set(simd["baseline"] + found):
+        settings["blas-haswell"] = ({"OPENBLAS_CORETYPE": "Haswell"}, set())
+    avx512 = [t for t in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if t in found]
+    settings["numpy-no-avx512"] = (
+        {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}, POWER_LOOP_DIGESTS
+    )
+    return settings
+
+
+def test_step_loops_and_study_are_portable(tmp_path, package_env):
+    # step() sums w . x as the engine's left fold, not by BLAS, and the study
+    # runs p = 0.5 as a square root, so neither depends on the CPU's kernels
+    tests = str(Path(__file__).resolve().parent)
+    settings = cpu_settings()
+    children = {
+        name: subprocess.Popen(
+            [sys.executable, "-c", PORTABLE_CHILD.format(tests=tests, out=str(tmp_path / name))],
+            env={**package_env, **setting}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        for name, (setting, _) in settings.items()
+    }
+    own = portable_digests(tmp_path)
+    for name, (_, may_differ) in settings.items():
+        out, err = children[name].communicate(timeout=60)
+        assert (children[name].returncode, err) == (0, ""), name
+        got = json.loads(out)
+        assert got.keys() == own.keys()
+        assert {key for key in own if got[key] != own[key]} <= may_differ, name
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -634,3 +727,66 @@ def test_finite_weights_whose_left_fold_overflows_do_not_diverge(variant):
         new_state, e = step(FilterState(w), np.zeros(3), 0.0, cfg)
     np.testing.assert_array_equal(new_state.weights, w)
     assert e == 0.0 and new_state.iteration == 1
+
+
+class TaggedArray(np.ndarray):
+    """An ndarray subclass, which step() reads as its plain float64 values."""
+
+
+def read_only(x):
+    x = x.copy()
+    x.flags.writeable = False
+    return x
+
+
+# Each form holds the regressor's values, which are exact in float32 and as ints.
+REGRESSOR_FORMS = {
+    "list": lambda x: x.tolist(),
+    "tuple": lambda x: tuple(x.tolist()),
+    "float32": lambda x: x.astype(np.float32),
+    "int": lambda x: x.astype(int),
+    "big-endian": lambda x: x.astype(">f8"),
+    "strided": lambda x: np.repeat(x, 3)[::3],
+    "reversed": lambda x: x[::-1].copy()[::-1],
+    "read-only": read_only,
+    "subclass": lambda x: x.view(TaggedArray),
+}
+
+
+@pytest.mark.parametrize("form", list(REGRESSOR_FORMS))
+@pytest.mark.parametrize("variant", list(Variant))
+def test_every_regressor_form_steps_to_the_same_bits(variant, form):
+    rng = np.random.default_rng(29)
+    cfg = random_cfg(variant, rng)
+    state = FilterState(rng.standard_normal(7))
+    x = rng.integers(-4, 5, 7).astype(float)
+    want, want_e = step(state, x, 0.6, cfg)
+    regressor = REGRESSOR_FORMS[form](x)
+    got, e = step(state, regressor, 0.6, cfg)
+    assert type(got.weights) is np.ndarray and got.weights.dtype == np.float64
+    assert got.weights.tobytes() == want.weights.tobytes() and e == want_e
+    assert not np.shares_memory(got.weights, np.asarray(regressor))
+    with pytest.raises(DimensionMismatchError, match=r"regressor has shape \(1, 7\)"):
+        step(state, [regressor], 0.6, cfg)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_configs_and_states_survive_pickle_and_deepcopy(variant):
+    # spawned workers receive what pickle sends; a step fills the config's caches first
+    rng = np.random.default_rng(37)
+    cfg = random_cfg(variant, rng)
+    study = ExperimentConfig(runs=2, iterations=30)
+    x = rng.standard_normal(16)
+    state, _ = step(FilterState(rng.standard_normal(16), iteration=3), x, 0.4, cfg)
+    step(state, x, 0.4, study.schedule[variant, 4])
+    assert "_operands" in vars(cfg) and "_operands" in vars(study.schedule[variant, 4])
+    for copy_of in (lambda obj: pickle.loads(pickle.dumps(obj)), copy.deepcopy):
+        cfg_copy, state_copy, study_copy = copy_of((cfg, state, study))
+        assert cfg_copy == cfg and study_copy == study
+        assert state_copy.iteration == state.iteration
+        assert state_copy.weights.tobytes() == state.weights.tobytes()
+        rules = [(cfg, cfg_copy), (study.schedule[variant, 4], study_copy.schedule[variant, 4])]
+        for rule, rule_copy in rules:
+            want, want_e = step(state, x, 0.4, rule)
+            got, e = step(state_copy, x, 0.4, rule_copy)
+            assert got.weights.tobytes() == want.weights.tobytes() and e == want_e
