@@ -43,6 +43,7 @@ from .errors import (
     check_real,
 )
 from .filter_core import _READERS, AlgorithmConfig, LeakSign, Variant
+from .signal_gen import _check_cell_size
 
 __all__ = ["ExperimentConfig", "default_schedule", "parse_config"]
 
@@ -107,11 +108,9 @@ class ExperimentConfig:
                 )
         self.n_taps = check_count("n_taps", self.n_taps)
         self.iterations = check_count("iterations", self.iterations)
-        self.runs = check_count("runs", self.runs)
-        # a level draws every run's input and noise into one array (signal_gen)
-        check_count(
-            "runs", self.runs, 2 * (self.iterations + self.n_taps),
-            f"2*(iterations + n_taps) = 2*({self.iterations} + {self.n_taps})",
+        # a level draws iterations + n_taps samples of each run (experiment._run_level)
+        self.runs, _ = _check_cell_size(
+            self.runs, self.iterations + self.n_taps, "iterations + n_taps"
         )
         self.master_seed = check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
         self.sparsity_levels = tuple(

@@ -64,20 +64,12 @@ def check_integer(name, value, low=None, high=None):
     return value
 
 
-def check_count(name, value, floats_each=1, each=None):
+def check_count(name, value, floats_each=1):
     """``value`` as an int if it is an integer >= 1 and ``value`` items of
     ``floats_each`` float64s fit one numpy array; else a ParameterError naming it,
-    which words the upper bound only for a value above it, and then ``each``, the
-    words for ``floats_each``, if given."""
+    which words the upper bound only for a value above it."""
     value = check_integer(name, value, 1)
-    try:
-        return check_integer(name, value, 1, _MAX_FLOATS // floats_each)
-    except ParameterError as err:
-        if each is None:
-            raise
-        raise ParameterError(
-            f"{err} ({name} of {each} float64s each must fit one numpy array)"
-        ) from None
+    return check_integer(name, value, 1, _MAX_FLOATS // floats_each)
 
 
 def check_real(name, value, *, ge=None, gt=None, lt=None):

@@ -191,13 +191,8 @@ class FilterState:
         """step()'s result, built without ``__post_init__``: ``weights`` is a
         fresh 1-d float64 array that step() made."""
         state = object.__new__(cls)
-        fields = state.__dict__
-        fields["weights"] = weights
-        fields["iteration"] = iteration
+        state.__dict__.update(weights=weights, iteration=iteration)
         return state
-
-
-_FLOAT64 = np.dtype(float)
 
 
 def _check_lengths(w, x):
@@ -262,11 +257,10 @@ def step(state, x, desired, cfg):
 
 
 def _step(state, x, desired, cfg):
-    if type(x) is not np.ndarray or x.dtype is not _FLOAT64:  # else asarray returns x
-        try:  # free on Python 3.11+ unless it raises
-            x = np.asarray(x, dtype=float)
-        except (TypeError, ValueError):
-            raise not_numbers("regressor", x) from None
+    try:  # free on Python 3.11+ unless it raises
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        raise not_numbers("regressor", x) from None
     try:
         desired = float(desired)
     except (TypeError, ValueError):
@@ -277,9 +271,9 @@ def _step(state, x, desired, cfg):
     # the engine's left fold over taps, so that step() equals it bit for bit;
     # w.dot(x) would call BLAS, whose summation order depends on the CPU
     e = desired - float(np.add.accumulate(w * x)[-1])
-    # mu*e as Python floats, far cheaper than with a 0-d mu; numpy then applies
-    # the product to an array faster as a 0-d array than as a Python float
-    new_w = x * np.array(cfg.mu * e)
+    # mu*e as Python floats, far cheaper than with a 0-d mu; then the array
+    # first, so ndarray.__mul__ runs without float.__mul__'s detour
+    new_w = x * (cfg.mu * e)
     _, leak_mult, shrink = cfg._operands
     new_w += w if leak_mult is None else leak_mult * w  # IEEE addition commutes
     if shrink is not None:

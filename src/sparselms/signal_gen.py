@@ -71,10 +71,9 @@ def gen_sparse_system(n_taps, n_nonzero, rng):
     return w
 
 
-def _check_ar1(length, coeff, drive_variance, floats_each=1):
-    """``(length, coeff, drive_variance)`` as an int and two floats; else a ParameterError.
-    ``floats_each`` float64s per sample must fit one numpy array."""
-    length = check_count("length", length, floats_each)
+def _check_ar1(length, coeff, drive_variance):
+    """``(length, coeff, drive_variance)`` as an int and two floats; else a ParameterError."""
+    length = check_count("length", length)
     coeff = check_real("coeff", coeff, gt=-1, lt=1)  # the process is non-stationary otherwise
     return length, coeff, check_real("drive_variance", drive_variance, gt=0, lt=math.inf)
 
@@ -126,6 +125,22 @@ def gen_gaussian_noise(length, variance, rng):
     return _gen(rng).standard_normal(length) * np.sqrt(variance)
 
 
+def _check_cell_size(runs, length, length_name="length"):
+    """``(runs, length)`` as ints if each is a count and ``runs`` rows of ``2*length``
+    float64s, the buffer z that :func:`gen_cell_realizations` draws every run's input
+    and noise into (its largest array), fit one numpy array; else a ParameterError
+    naming ``length_name`` if one row cannot fit, else runs."""
+    length = check_count(length_name, length, 2)
+    runs = check_count("runs", runs)
+    try:
+        return check_count("runs", runs, 2 * length), length
+    except ParameterError as err:
+        raise ParameterError(
+            f"{err}, as runs x 2*({length_name}) = runs x 2*{length} float64s "
+            "must fit one numpy array"
+        ) from None
+
+
 def gen_cell_realizations(
     master_seed, runs, n_taps, n_nonzero, length, coeff, drive_variance, noise_variance
 ):
@@ -142,8 +157,8 @@ def gen_cell_realizations(
     All drives are filtered together.
     """
     _check_system(n_taps, n_nonzero)
-    length, coeff, drive_variance = _check_ar1(length, coeff, drive_variance, 2)
-    runs = check_count("runs", runs, 2 * length)  # z, the largest array, is runs x 2*length
+    runs, length = _check_cell_size(runs, length)
+    length, coeff, drive_variance = _check_ar1(length, coeff, drive_variance)
     noise_variance = check_real("noise_variance", noise_variance, ge=0, lt=math.inf)
     positions = np.empty((runs, n_nonzero), dtype=np.intp)
     signs = np.empty((runs, n_nonzero))

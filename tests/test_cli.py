@@ -639,8 +639,8 @@ def test_overflowing_drive_variance_fails_by_name(tmp_path, capsys):
         ),
         (
             ["--runs", str(2**40), "--iterations", str(2**40)],
-            f"runs must satisfy 1 <= runs <= {(2**60 - 1) // (2**41 + 32)}, got {2**40} (runs of "
-            f"2*(iterations + n_taps) = 2*({2**40} + 16) float64s each must fit one numpy array)",
+            f"runs must satisfy 1 <= runs <= {(2**60 - 1) // (2**41 + 32)}, got {2**40}, as runs x "
+            f"2*(iterations + n_taps) = runs x 2*{2**40 + 16} float64s must fit one numpy array",
         ),
     ],
     ids=["runs-2**64", "runs-2**63-1", "iterations-2**64", "runs-and-iterations-2**40"],

@@ -716,10 +716,17 @@ def test_config_bounds_a_levels_buffer():
     with pytest.raises(ParameterError) as exc:
         ExperimentConfig(runs=bound + 1, iterations=2**40)
     assert str(exc.value) == (
-        f"runs must satisfy 1 <= runs <= {bound}, got {bound + 1} (runs of "
-        f"2*(iterations + n_taps) = 2*({2**40} + 16) float64s each must fit one numpy array)"
+        f"runs must satisfy 1 <= runs <= {bound}, got {bound + 1}, as runs x "
+        f"2*(iterations + n_taps) = runs x 2*{2**40 + 16} float64s must fit one numpy array"
     )
     assert ExperimentConfig(runs=bound, iterations=2**40).runs == bound  # nothing is allocated
+    # iterations fits numpy alone, but not even one run's buffer: iterations is named
+    with pytest.raises(ParameterError) as exc:
+        ExperimentConfig(runs=1, iterations=2**60 - 1)
+    assert str(exc.value) == (
+        f"iterations + n_taps must satisfy 1 <= iterations + n_taps <= {(2**60 - 1) // 2}, "
+        f"got {2**60 + 15}"
+    )
 
 
 def test_experiment_config_defaults():

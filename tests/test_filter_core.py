@@ -323,9 +323,12 @@ print(json.dumps(portable_digests(Path({out!r}))))
 """
 
 # At p = 0.3 numpy's power loop rounds |w|**0.7 in the last bit by its SIMD
-# target, and the lp_like_llms loops carry that into their weights.
+# target; which of the shrinkage loops carry that into their weights depends
+# on the data and the CPU, so none of the three is held to its stored bits.
 POWER_LOOP_DIGESTS = {
-    "LOOP_SHA256[lp_like_llms-None]", "LOOP_SHA256[lp_like_llms-LeakSign.MINUS]"
+    f"LOOP_SHA256[{variant.value}-{sign}]"
+    for variant, sign in LOOP_SHA256
+    if variant in (Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS)
 }
 
 
