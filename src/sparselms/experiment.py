@@ -109,12 +109,12 @@ def msd(true_w, est_w):
     """Squared deviation ``sum((true_w - est_w)**2)`` between weight vectors."""
     true_w = as_floats("true_w", true_w)
     est_w = as_floats("est_w", est_w)
-    if true_w.shape != est_w.shape:
+    if true_w.ndim > 1 or true_w.shape != est_w.shape:
         raise DimensionMismatchError(
-            f"weight vectors differ in length: {true_w.shape[0]} vs {est_w.shape[0]}"
+            f"weight vectors must be 1-d of one length, got shapes {true_w.shape} and {est_w.shape}"
         )
     d = true_w - est_w
-    return float(np.dot(d, d))
+    return float(np.cumsum(d * d)[-1:].sum())  # the engine's left fold; 0.0 if empty
 
 
 # Iterations per block of stored weights; blocks of 8 and 16 raised a 200-run cell's peak RSS.
@@ -122,13 +122,11 @@ _BLOCK = 4
 
 
 def _left_fold(a):
-    """Left fold over axis -2; numpy's ``sum(axis=-2)`` is one only when the last axis is > 1."""
+    """Left fold over the taps axis of a (taps x runs) or (block x taps x runs) array;
+    numpy's ``sum(axis=-2)`` is one for two runs or more, ``add.accumulate`` at any width."""
     if a.shape[-1] > 1:
         return a.sum(axis=-2)
-    acc = a[..., 0, :].copy()
-    for i in range(1, a.shape[-2]):
-        acc += a[..., i, :]
-    return acc
+    return np.add.accumulate(a, axis=-2)[..., -1, :]
 
 
 @quietly

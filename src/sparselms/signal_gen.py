@@ -5,7 +5,8 @@ Everything here is a deterministic function of its parameters and an
 observation noise) is replayed bit-exactly by rebuilding the stream from
 ``(seed, stream_id)``.  :func:`gen_cell_realizations` builds a whole
 cell's realizations at once, row r equal to what the single-run generators
-draw from ``RngStream(seed, r)``.
+draw from ``RngStream(seed, r)``, and runs the AR(1) recursion on the rows of
+its drives in place, one numpy step per sample.
 """
 
 import math
@@ -84,18 +85,13 @@ def _ar1_unit_variance(drives, coeff):
 
     Each row becomes ``x[0] = u[0]``, ``x[k] = u[k] + coeff*x[k-1]``, divided
     by its sample standard deviation (denominator: length).  The recursion
-    runs time-major, one numpy step per sample over all rows, on a
-    transposed copy; each row's variance is then reduced over that row
-    alone, so a row's result does not depend on how many rows share the
-    call.  Returns ``drives``; a variance that overflows, or is zero or
-    subnormal, raises ``ParameterError``.
+    runs on the rows in place, one numpy step per sample over all rows; each
+    row's variance is then reduced over that row alone, so a row's result
+    does not depend on how many rows share the call.  Returns ``drives``; a
+    variance that overflows, or is zero or subnormal, raises ``ParameterError``.
     """
-    x = np.ascontiguousarray(drives.T)  # (length, rows): one step is one contiguous row
-    prev = x[0]
-    for cur in x[1:]:
-        cur += coeff * prev
-        prev = cur
-    drives[...] = x.T
+    for k in range(1, drives.shape[1]):
+        drives[:, k] += coeff * drives[:, k - 1]
     v = np.var(drives, axis=1)  # overflow is reported below by value
     if not np.isfinite(v).all():
         raise ParameterError("the AR(1) input's sample variance overflows; lower drive_variance")

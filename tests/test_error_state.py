@@ -6,6 +6,7 @@ neither a run's bytes nor how it fails, and leaves the caller's state as
 it was.
 """
 
+import ast
 import re
 import subprocess
 import sys
@@ -139,6 +140,28 @@ def test_the_gradient_term_overflows_to_inf_without_a_warning():
     assert term.tolist() == [np.inf, 0.01]
 
 
+# numpy 2 keeps the error state in a context variable, so QUIET's import-time
+# seterr and the calls that enter it leave the importing thread's state alone
+ERROR_STATE_ACROSS_A_RUN = """
+import numpy as np
+print(np.geterr())
+from sparselms import AlgorithmConfig, FilterState, Variant, run_trial, step
+cfg = AlgorithmConfig(Variant.LMS, mu=0.01)
+step(FilterState.zeros(2), [1.0, 2.0], 1.0, cfg)
+run_trial([1.0, 0.0], [1.0] * 20, [0.0] * 20, cfg, 10)
+print(np.geterr())
+"""
+
+
+def test_a_fresh_interpreters_error_state_survives_import_and_a_run(package_env):
+    out = subprocess.run(
+        [sys.executable, "-c", ERROR_STATE_ACROSS_A_RUN],
+        env=package_env, capture_output=True, text=True, check=True,
+    ).stdout
+    before, after = out.splitlines()
+    assert after == before
+
+
 def test_only_the_owner_sets_the_error_state():
     package = Path(sparselms.__file__).parent
     setters = [
@@ -148,3 +171,26 @@ def test_only_the_owner_sets_the_error_state():
         if re.search(r"np\.(errstate|seterr)", line)
     ]
     assert setters == []
+
+
+# numpy functions that call BLAS; any .dot() method does too
+BLAS_FUNCTIONS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def test_no_module_sums_by_blas():
+    # BLAS picks its kernel, and so its summation order, per CPU; every sum in
+    # the package is a left fold in tap order instead
+    package = Path(sparselms.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = node.func if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and (
+                func.attr == "dot"
+                or (func.attr in BLAS_FUNCTIONS and isinstance(func.value, ast.Name)
+                    and func.value.id in ("np", "numpy"))
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

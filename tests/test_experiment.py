@@ -68,9 +68,34 @@ def test_msd_matches_fsum_oracle():
         assert msd(a, b) == pytest.approx(ref, rel=1e-12)
 
 
+def test_msd_is_a_left_fold_of_the_squares():
+    # summed in tap order, as the engine sums its traces, not by BLAS
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 5, 16, 33):
+        a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        b = rng.standard_normal(n)
+        ref = 0.0
+        for ai, bi in zip(a.tolist(), b.tolist()):
+            ref += (ai - bi) * (ai - bi)
+        assert msd(a, b) == ref
+
+
+def test_msd_of_empty_vectors_is_zero():
+    assert msd([], []) == 0.0
+
+
+def test_msd_of_scalars_is_their_squared_difference():
+    assert msd(3.0, 1.0) == 4.0
+
+
 def test_msd_length_mismatch():
     with pytest.raises(DimensionMismatchError):
         msd(np.zeros(4), np.zeros(5))
+    # a scalar against a vector, and 2-d weights, fail by name too
+    with pytest.raises(DimensionMismatchError, match=r"got shapes \(\) and \(1,\)"):
+        msd(3.0, [1.0])
+    with pytest.raises(DimensionMismatchError, match=r"got shapes \(2, 2\) and \(2, 2\)"):
+        msd(np.ones((2, 2)), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------- run_trial
@@ -102,21 +127,23 @@ def test_run_trial_is_bit_deterministic():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_trial_matches_stepwise_reference(variant):
-    # the batched engine must agree with the one-sample step API; this loop
-    # forms the desired sample and the deviation with np.dot, so it differs
-    # from the engine only in the summation order of those two sums
+    # the batched engine must equal the one-sample step API bit for bit; this
+    # loop forms the desired sample as the engine does, noise[k] first and then
+    # s_i * x[k-i] in tap order, and msd folds the squares as the engine does
     cfg = default_schedule()[(variant, 4)]
-    for seed, n, rtol, atol in ((4, 200, 1e-10, 1e-15), (100, 400, 1e-12, 0.0)):
+    for seed, n in ((4, 200), (100, 400)):
         system, x, noise = trial_inputs(seed, length=n + 16)
         trace = run_trial(system, x, noise, cfg, n)
         state = FilterState.zeros(16)
         ref = np.empty(n)
         for k in range(n):
             xk = regressor_at(x[:n], k, 16)
-            d = float(np.dot(system, xk)) + noise[k]
+            d = float(noise[k])
+            for s_i, x_i in zip(system.tolist(), xk.tolist()):
+                d += s_i * x_i
             state, _ = step(state, xk, d, cfg)
             ref[k] = msd(system, state.weights)
-        np.testing.assert_allclose(trace, ref, rtol=rtol, atol=atol)
+        np.testing.assert_array_equal(trace, ref)
 
 
 def test_run_trial_noiseless_lms_converges():

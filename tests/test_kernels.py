@@ -24,7 +24,7 @@ from sparselms import (
     default_schedule,
     step,
 )
-from sparselms.experiment import _batch_signal, _run_batch
+from sparselms.experiment import _batch_signal, _left_fold, _run_batch
 from sparselms.signal_gen import (
     gen_ar1_input,
     gen_cell_realizations,
@@ -160,18 +160,22 @@ def left_fold(a):
     return acc
 
 
-@pytest.mark.parametrize("width", [2, 3, 5, 17, 200])
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 17, 200])
 def test_numpy_axis0_sum_is_a_left_fold(width):
     # The engine's tap sums rely on numpy reducing a C-contiguous
-    # (taps x runs) array over axis 0 one row after another; if a numpy
-    # release changes that order, this fails instead of the CSV drifting.
+    # (taps x runs) array over axis 0 one row after another for two runs or
+    # more, and on add.accumulate for one; if a numpy release changes that
+    # order, this fails instead of the CSV drifting.
     rng = np.random.default_rng(width)
     a = rng.standard_normal((16, width)) * 10.0 ** rng.uniform(-8, 8, (16, width))
     assert not np.array_equal(left_fold(a), left_fold(a[::-1]))  # the data shows the order
-    np.testing.assert_array_equal(np.sum(a, axis=0), left_fold(a))
+    np.testing.assert_array_equal(_left_fold(a), left_fold(a))
     # the per-block traces fold a (block x taps x runs) array the same way
     b = rng.standard_normal((8, 16, width)) * 10.0 ** rng.uniform(-8, 8, (8, 16, width))
-    np.testing.assert_array_equal(np.sum(b, axis=1), left_fold(b.transpose(1, 0, 2)))
+    np.testing.assert_array_equal(_left_fold(b), left_fold(b.transpose(1, 0, 2)))
+    if width > 1:  # at width 1 numpy's sum is not a left fold
+        np.testing.assert_array_equal(np.sum(a, axis=0), left_fold(a))
+        np.testing.assert_array_equal(np.sum(b, axis=1), left_fold(b.transpose(1, 0, 2)))
 
 
 @pytest.mark.parametrize("variant", [Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS])

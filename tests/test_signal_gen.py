@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,21 @@ def test_protocol_cell_bits_are_stored(level):
     ):
         h.update(a.tobytes())
     assert h.hexdigest() == PROTOCOL_CELL_SHA256[level]
+
+
+def test_cell_generation_peaks_at_one_and_a_half_buffers():
+    # the AR(1) recursion runs on the drives in place; np.var's temporary, half
+    # the buffer, is the only other large array
+    args = (1, 50, 16, 4, 4000, 0.8, 1e-3, 1e-2)
+    buffer = 50 * 2 * 4000 * 8  # every run's drive and noise, in float64 bytes
+    gen_cell_realizations(*args)  # leaves numpy's lazy imports out of the peak
+    tracemalloc.start()
+    try:
+        gen_cell_realizations(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * buffer
 
 
 def test_cell_builder_validation():
