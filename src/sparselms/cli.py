@@ -116,7 +116,7 @@ def main(argv=None):
     _skip_final_collection()
     args = build_arg_parser().parse_args(argv)
     try:
-        text = Path(args.config).read_text() if args.config else ""
+        text = Path(args.config).read_text(encoding="utf-8-sig") if args.config else ""
         config = parse_config(
             text, master_seed=args.seed, runs=args.runs, iterations=args.iterations
         )
@@ -139,7 +139,8 @@ def main(argv=None):
         if args.summary:
             _print_summary(curves, config)
         return 0
-    except (ConfigError, ParameterError, DimensionMismatchError, DivergenceError, OSError) as err:
+    except (ConfigError, ParameterError, DimensionMismatchError, DivergenceError, OSError,
+            UnicodeDecodeError) as err:  # the last for a config file that is not UTF-8
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -153,13 +153,13 @@ def _coerce_hyperparameter(key, value, lineno):
 
 
 def _parse_document(text):
-    """Split a config document into global key-values and per-section ones.
+    """Split a config document into global key-values and, per section, its
+    header's line and key-values.
 
     A key repeated within one scope, or a repeated section, is an error.
     """
     global_kv = {}
     sections = {}
-    header_lines = {}
     current = global_kv
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -186,13 +186,13 @@ def _parse_document(text):
                 raise ConfigError(
                     f"line {lineno}: sparsity level in [{name}] must be an integer"
                 ) from None
-            if (variant, level) in header_lines:
+            if (variant, level) in sections:
                 raise ConfigError(
                     f"line {lineno}: duplicate section [{variant.value}.{level}] "
-                    f"(first on line {header_lines[variant, level]})"
+                    f"(first on line {sections[variant, level][0]})"
                 )
-            header_lines[variant, level] = lineno
-            current = sections[variant, level] = {}
+            current = {}
+            sections[variant, level] = (lineno, current)
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -237,8 +237,12 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
         else:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
 
+    n_taps = fields.get("n_taps", ExperimentConfig.n_taps)
     section_cfg = {}
-    for (variant, level), kv in sections.items():
+    for (variant, level), (header, kv) in sections.items():
+        # no run reads a section outside 1..n_taps; a bad n_taps is ExperimentConfig's to name
+        if n_taps >= 1 and not 1 <= level <= n_taps:
+            raise ConfigError(f"line {header}: [{variant.value}.{level}]: level not in 1..{n_taps}")
         entry = {}
         for key, (lineno, value) in kv.items():
             if key in _READERS:

@@ -132,6 +132,16 @@ def as_floats(name, value):
         raise not_numbers(name, value) from None
 
 
+def as_vector(name, value, taps=False):
+    """``value`` as a 1-d float64 array, of at least one item if it holds ``taps``;
+    else a ParameterError naming it and its shape, or the ``not_numbers`` error."""
+    value = as_floats(name, value)
+    if value.ndim != 1 or (taps and value.size < 1):
+        rule = " with at least one tap" if taps else ""
+        raise ParameterError(f"{name} must be 1-d{rule}, got shape {value.shape}")
+    return value
+
+
 # The floating-point error state of step(), the engine, the shrinkage term and
 # the AR(1) rescale: overflow and invalid values are reported by value
 # (DivergenceError, the AR(1) ParameterError, or inf), underflow is ignored,

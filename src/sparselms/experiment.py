@@ -15,8 +15,10 @@ variant-major order, the order of the curves.
 
 The engine advances a variant's runs together on (taps x runs) arrays, the
 input reversed in time so that each regressor ``x[k], x[k-1], ...`` is a
-contiguous block of rows.  Every sum over taps is a left fold in tap order,
-as in a scalar loop, so a run's trace is bit-identical in any batch.  Traces
+contiguous block of rows.  Each update is ``filter_core._advance``, the one
+that :func:`~sparselms.filter_core.step` makes, and every sum over taps is
+``filter_core._left_fold``, a left fold in tap order, as in a scalar loop; so
+a run's trace is bit-identical in any batch and to a loop of steps.  Traces
 and the finite check come from the weights stored over ``_BLOCK`` iterations.
 
 Reproducibility contract: a cell's output is a pure function of
@@ -39,11 +41,12 @@ from .errors import (
     ParameterError,
     as_floats,
     as_tuple,
+    as_vector,
     check_instance,
     check_integer,
     quietly,
 )
-from .filter_core import Variant
+from .filter_core import Variant, _advance, _left_fold
 from .signal_gen import gen_cell_realizations
 
 __all__ = [
@@ -113,20 +116,12 @@ def msd(true_w, est_w):
         raise DimensionMismatchError(
             f"weight vectors must be 1-d of one length, got shapes {true_w.shape} and {est_w.shape}"
         )
-    d = true_w - est_w
-    return float(np.cumsum(d * d)[-1:].sum())  # the engine's left fold; 0.0 if empty
+    d = np.ravel(true_w - est_w)  # a scalar is one tap
+    return _left_fold(d * d) if d.size else 0.0
 
 
 # Iterations per block of stored weights; blocks of 8 and 16 raised a 200-run cell's peak RSS.
 _BLOCK = 4
-
-
-def _left_fold(a):
-    """Left fold over the taps axis of a (taps x runs) or (block x taps x runs) array;
-    numpy's ``sum(axis=-2)`` is one for two runs or more, ``add.accumulate`` at any width."""
-    if a.shape[-1] > 1:
-        return a.sum(axis=-2)
-    return np.add.accumulate(a, axis=-2)[..., -1, :]
 
 
 @quietly
@@ -157,7 +152,6 @@ def _run_batch(xr, sT, desired, cfg):
     """
     iterations, runs = desired.shape
     n_taps = sT.shape[0]
-    mu, leak_mult, shrink = cfg._operands
     hist = np.empty((_BLOCK, n_taps, runs))
     w = np.zeros((n_taps, runs))
     traces = np.empty((runs, iterations))
@@ -166,18 +160,7 @@ def _run_batch(xr, sT, desired, cfg):
         n = min(_BLOCK, iterations - b)
         for j in range(n):
             m = iterations - 1 - b - j
-            xk = xr[m : m + n_taps]
-            e = desired[b + j] - _left_fold(w * xk)
-            e *= mu
-            new_w = np.multiply(xk, e, hist[j])
-            new_w += w if leak_mult is None else leak_mult * w  # 1.0 * w is w, bit for bit
-            if shrink is not None:  # rho_pl * (p * sign(w) / (eps_pl + |w|**(1-p)))
-                rho_pl, p, one_minus_p, eps_pl = shrink
-                s = p * np.sign(w)
-                s /= eps_pl + np.abs(w) ** one_minus_p
-                s *= rho_pl
-                new_w -= s
-            w = new_w
+            w, _ = _advance(w, xr[m : m + n_taps], desired[b + j], cfg, hist[j])
         diff = sT - hist[:n]
         diff *= diff
         tr = _left_fold(diff)
@@ -203,9 +186,9 @@ def run_trial(system, x, noise, cfg, iterations):
         If the run fails by the cells' rule (see :func:`_check_runs`), with the
         offending iteration index.
     """
-    system = np.ascontiguousarray(as_floats("system", system))
-    x = np.ascontiguousarray(as_floats("x", x))
-    noise = as_floats("noise", noise)
+    system = np.ascontiguousarray(as_vector("system", system, taps=True))
+    x = np.ascontiguousarray(as_vector("x", x))
+    noise = as_vector("noise", noise)
     check_integer("iterations", iterations, 1)
     if x.shape[0] < iterations or noise.shape[0] < iterations:
         raise DimensionMismatchError(

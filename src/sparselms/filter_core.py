@@ -15,8 +15,8 @@ comes from ``AlgorithmConfig.variant``.  With ``e = d - w . x``:
 
 :func:`step` is a pure function: it takes a :class:`FilterState` and
 returns a new one with the pre-update error, never mutating its inputs.
-It computes as the engine in :mod:`sparselms.experiment` does, ``w . x``
-included, so a loop of steps equals the engine's run bit for bit.
+It and the engine in :mod:`sparselms.experiment` share one update,
+``_advance``, so a loop of steps equals the engine's run bit for bit.
 """
 
 import enum
@@ -33,6 +33,7 @@ from .errors import (
     DivergenceError,
     ParameterError,
     as_floats,
+    as_vector,
     check_count,
     check_instance,
     check_integer,
@@ -149,20 +150,17 @@ class AlgorithmConfig:
 
     @cached_property
     def _operands(self):
-        """``(mu, leak_mult, shrink)`` as 0-d float64 arrays, which numpy
-        applies to an array faster than Python floats.
-
-        ``leak_mult`` is None for a multiplier of 1, as ``1.0 * w`` is ``w``;
-        ``shrink`` is ``(rho_pl, p, 1 - p, epsilon_pl)`` for the shrinkage
-        variants, else None, with ``1 - p`` a float: numpy takes ``w ** 0.5``
-        as a square root, but not with a 0-d exponent.
-        """
+        """``(leak_mult, shrink)`` of ``_advance``, as 0-d float64 arrays, which numpy
+        applies to an array faster than Python floats: ``leak_mult`` is None for a
+        multiplier of 1; ``shrink`` is ``(rho_pl, p, 1 - p, epsilon_pl)`` for the
+        shrinkage variants, else None, with ``1 - p`` a float, as numpy takes
+        ``w ** 0.5`` as a square root, but not with a 0-d exponent."""
         leak_mult = None if self.leak_mult == 1.0 else np.array(self.leak_mult)
         shrink = None
         if self.variant in _READERS["rho_pl"]:
             rho_pl, p, epsilon_pl = (np.array(c) for c in (self.rho_pl, self.p, self.epsilon_pl))
             shrink = (rho_pl, p, 1.0 - self.p, epsilon_pl)
-        return np.array(self.mu), leak_mult, shrink
+        return leak_mult, shrink
 
 
 @dataclass(frozen=True)
@@ -173,11 +171,7 @@ class FilterState:
     iteration: int = 0
 
     def __post_init__(self):
-        weights = as_floats("weights", self.weights)
-        if weights.ndim != 1 or weights.size < 1:
-            raise ParameterError(
-                f"weights must be 1-d with at least one tap, got shape {weights.shape}"
-            )
+        weights = as_vector("weights", self.weights, taps=True)
         check_integer("iteration", self.iteration, 0)
         object.__setattr__(self, "weights", weights)
 
@@ -193,15 +187,6 @@ class FilterState:
         state = object.__new__(cls)
         state.__dict__.update(weights=weights, iteration=iteration)
         return state
-
-
-def _check_lengths(w, x):
-    if w.shape != x.shape:
-        if x.ndim == 1:
-            message = f"weights have length {w.shape[0]} but regressor has length {x.shape[0]}"
-        else:
-            message = f"weights have shape {w.shape} but regressor has shape {x.shape}"
-        raise DimensionMismatchError(message)
 
 
 def pnorm_like(w, p):
@@ -220,7 +205,7 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
     """Regularized shrinkage direction ``p*sgn(w_i) / (epsilon_pl + |w_i|**(1-p))``.
 
     The regularizer keeps the denominator away from zero; with
-    ``epsilon_pl = 0`` the element at ``w_i = 0`` is defined as 0 because
+    ``epsilon_pl = 0`` the element at ``w_i = 0`` is defined as 0, as
     ``sgn(0) = 0`` wins over the vanishing denominator.  Runs in a copy of
     ``errors.QUIET``, so an overflow is a value, not a warning.
 
@@ -234,24 +219,59 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
     p = check_real("p", p, gt=0, lt=1)
     epsilon_pl = check_real("epsilon_pl", epsilon_pl, ge=0)
     w = as_floats("w", w)
-    denom = epsilon_pl + np.abs(w) ** (1.0 - p)
-    return np.divide(p * np.sign(w), denom, out=np.zeros_like(w), where=w != 0.0)
+    return np.where(w == 0.0, 0.0, _shrinkage(w, p, 1.0 - p, epsilon_pl))
+
+
+def _shrinkage(w, p, one_minus_p, epsilon_pl):
+    """``p*sgn(w) / (epsilon_pl + |w|**(1-p))`` as a new array; ``one_minus_p`` is
+    a Python float, so that ``0.5`` is numpy's square root."""
+    s = np.sign(w)
+    s *= p
+    d = np.abs(w)
+    d **= one_minus_p
+    d += epsilon_pl
+    s /= d
+    return s
+
+
+def _left_fold(a):
+    """Sum in tap order, by ``add.accumulate`` or by numpy's ``sum(axis=-2)`` for two runs
+    or more, never by BLAS, whose order depends on the CPU: a (taps,) array to a float,
+    a (taps x runs) or (block x taps x runs) array over its axis -2."""
+    if a.ndim == 1:
+        return float(np.add.accumulate(a)[-1])
+    if a.shape[-1] > 1:
+        return a.sum(axis=-2)
+    return np.add.accumulate(a, axis=-2)[..., -1, :]
+
+
+def _advance(w, x, desired, cfg, out=None):
+    """The update rule: ``(w', e)`` for weights and regressors of shape (taps,) with a
+    float ``desired``, or (taps x runs) with a (runs,) row.  ``e = desired - w . x``;
+    ``w'``, written to ``out`` if given, is ``x*(mu*e)`` plus the leak (``w`` itself
+    for a multiplier of 1, as ``1.0 * w`` is ``w``) minus ``rho_pl * _shrinkage(w)``."""
+    e = desired - _left_fold(w * x)
+    new_w = np.multiply(x, cfg.mu * e, out)
+    leak_mult, shrink = cfg._operands
+    new_w += w if leak_mult is None else leak_mult * w  # IEEE addition commutes
+    if shrink is not None:
+        rho_pl, p, one_minus_p, epsilon_pl = shrink
+        new_w -= rho_pl * _shrinkage(w, p, one_minus_p, epsilon_pl)  # sgn(0) = 0 and epsilon_pl > 0
+    return new_w, e
 
 
 def step(state, x, desired, cfg):
     """Advance one sample with the configured rule.
 
-    Leak, gradient correction, then the optional shrinkage, in the engine's
-    order; a leak multiplier of 1 is skipped, as ``1.0 * w`` is ``w``.
-    Runs in its own copy of ``errors.QUIET``, so overflow is reported as
-    DivergenceError whatever error state the caller set.
+    The engine's update, ``_advance``, on one filter.  Runs in its own copy
+    of ``errors.QUIET``, so overflow is reported as DivergenceError whatever
+    error state the caller set.
 
     Returns
     -------
     (FilterState, float)
         The new state and the pre-update error ``e = desired - w . x``,
-        which is the same for every variant; ``w . x`` is summed left to
-        right over the taps, as the engine sums it.
+        which is the same for every variant.
     """
     return QUIET.copy().run(_step, state, x, desired, cfg)
 
@@ -267,29 +287,9 @@ def _step(state, x, desired, cfg):
         raise not_numbers("desired", desired, "a float") from None
     w = state.weights
     if w.shape != x.shape:
-        _check_lengths(w, x)
-    # the engine's left fold over taps, so that step() equals it bit for bit;
-    # w.dot(x) would call BLAS, whose summation order depends on the CPU
-    e = desired - float(np.add.accumulate(w * x)[-1])
-    # mu*e as Python floats, far cheaper than with a 0-d mu; then the array
-    # first, so ndarray.__mul__ runs without float.__mul__'s detour
-    new_w = x * (cfg.mu * e)
-    _, leak_mult, shrink = cfg._operands
-    new_w += w if leak_mult is None else leak_mult * w  # IEEE addition commutes
-    if shrink is not None:
-        # rho_pl * (p * sgn(w) / (epsilon_pl + |w|**(1-p))), in place; ``1 - p``
-        # is a Python float, so ``**= 0.5`` is numpy's square root.  epsilon_pl
-        # > 0 (AlgorithmConfig checks it), so sgn(0) = 0 already makes the
-        # w_i = 0 element 0
-        rho_pl, p, one_minus_p, epsilon_pl = shrink
-        s = np.sign(w)
-        s *= p
-        d = np.abs(w)
-        d **= one_minus_p
-        d += epsilon_pl
-        s /= d
-        s *= rho_pl
-        new_w -= s
+        what, n, m = ("length", w.size, x.size) if x.ndim == 1 else ("shape", w.shape, x.shape)
+        raise DimensionMismatchError(f"weights have {what} {n} but regressor has {what} {m}")
+    new_w, e = _advance(w, x, desired, cfg)
     # a sum is finite only if every term is, in any summation order; finite
     # weights can still overflow the sum, so only a non-finite sum needs the
     # elementwise check.  Summing Python floats is cheaper than a numpy reduce.

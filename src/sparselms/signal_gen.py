@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ParameterError, as_floats, check_count, check_integer, check_real, quietly
+from .errors import ParameterError, as_vector, check_count, check_integer, check_real, quietly
 
 __all__ = [
     "RngStream",
@@ -176,7 +176,7 @@ def regressor_at(x, k, n_taps):
 
     Indices before the start of the signal contribute 0.
     """
-    x = as_floats("x", x)
+    x = as_vector("x", x)
     check_integer("k", k)
     check_count("n_taps", n_taps)
     if not 0 <= k < x.shape[0]:

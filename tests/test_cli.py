@@ -151,6 +151,32 @@ DUPLICATES = {
 }
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[lms.99]\nmu = 0.01\n", "line 1: [lms.99]: level not in 1..16"),
+        ("runs = 2\n[lms.0]\n", "line 2: [lms.0]: level not in 1..16"),
+        ("n_taps = 4\nsparsity_levels = 1\n\n[llms.-1]\n", "line 4: [llms.-1]: level not in 1..4"),
+        (
+            "n_taps = 4\nsparsity_levels = 1\n[llms.1]\n[llms.5]\n",
+            "line 4: [llms.5]: level not in 1..4",
+        ),
+    ],
+    ids=["99", "0", "-1", "above-n_taps"],
+)
+def test_section_outside_the_levels_names_its_line(text, message):
+    # no run can read such a section, which parsed silently before
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+
+
+def test_default_levels_above_a_small_n_taps_stay_legal():
+    config = parse_config("n_taps = 4\nsparsity_levels = 1, 4\n[lms.4]\nmu = 0.01\n")
+    assert config.schedule[Variant.LMS, 4].mu == 0.01
+    assert ExperimentConfig(n_taps=4, sparsity_levels=(1, 4)).schedule == default_schedule()
+
+
 @pytest.mark.parametrize("case", sorted(DUPLICATES))
 def test_duplicate_config_input_is_rejected(case, tmp_path, capsys):
     text, error, message = DUPLICATES[case]
@@ -555,6 +581,29 @@ def test_main_missing_config_file(tmp_path, capsys):
     rc = main(["--config", str(tmp_path / "nope.conf"), "--out", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_main_config_file_not_utf8(tmp_path, capsys):
+    # a UnicodeDecodeError traceback before
+    conf = tmp_path / "study.conf"
+    conf.write_bytes(b"runs = 2\n# caf\xe9\n")
+    rc = main(["--config", str(conf), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "utf-8" in err and "byte 0xe9" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    # the mark was read as part of the first key: "unknown config key '\ufeffruns'"
+    conf = tmp_path / "study.conf"
+    conf.write_bytes("\ufeffruns = 2\n".encode())
+    rc = main(["--config", str(conf), "--iterations", "10", "--sr", "1/16",
+               "--algorithms", "lms", "--out", str(tmp_path / "o")])
+    assert rc == 0
+    _, rows = read_csv(tmp_path / "o" / "msd_curves.csv")
+    assert len(rows) == 10
 
 
 def test_main_config_file_round_trip(tmp_path):

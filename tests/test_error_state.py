@@ -194,3 +194,42 @@ def test_no_module_sums_by_blas():
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+# The pieces of the update rule, each with its one owner in filter_core: the
+# shrinkage's sgn(w), the left fold over taps, and the leak multiplier.
+PIECES = {"sign": "sign", "accumulate": "fold", "cumsum": "fold", "leak_mult": "leak_mult"}
+RULE_OWNERS = {
+    "sign": {"filter_core.py:_shrinkage"},
+    "fold": {"filter_core.py:_left_fold"},
+    "leak_mult": {"filter_core.py:_advance", "filter_core.py:AlgorithmConfig._operands"},
+}
+
+
+def rule_pieces(node, owner="<module>"):
+    """``(piece, owner, lineno)`` for each use of a piece of the rule under ``node``,
+    ``owner`` being the qualified name of the innermost enclosing def or class."""
+    for child in ast.iter_child_nodes(node):
+        inner = owner
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = child.name if owner == "<module>" else f"{owner}.{child.name}"
+        name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
+        if name in PIECES:
+            yield PIECES[name], inner, child.lineno
+        yield from rule_pieces(child, inner)
+
+
+def test_the_update_rule_has_one_owner_per_piece():
+    # step() and the engine share filter_core._advance; a second copy of the
+    # shrinkage, the fold or the leak anywhere in the package fails here
+    package = Path(sparselms.__file__).parent
+    owners = {piece: set() for piece in RULE_OWNERS}
+    strays = []
+    for path in sorted(package.glob("*.py")):
+        for piece, owner, lineno in rule_pieces(ast.parse(path.read_text())):
+            where = f"{path.name}:{owner}"
+            owners[piece].add(where)
+            if where not in RULE_OWNERS[piece]:
+                strays.append(f"{piece} at {path.name}:{lineno} in {owner}")
+    assert strays == []
+    assert owners == RULE_OWNERS

@@ -606,6 +606,19 @@ REAL = "must be a real number, got"
         (run_trial, ([1.0], SAMPLES, "abc", LMS, 20), f"noise {FLOATS} 'abc'"),
         (run_trial, ([1.0], SAMPLES, RAGGED, LMS, 20), f"noise {FLOATS} {RAGGED}"),
         (regressor_at, (["a", "b"], 0, 2), f"x {FLOATS} ['a', 'b']"),
+        # vectors of the wrong shape: numpy's ValueError or an IndexError before, or,
+        # for a scalar system, a one-tap filter
+        (run_trial, ([[1.0], [0.5]], SAMPLES, SAMPLES, LMS, 20),
+         "system must be 1-d with at least one tap, got shape (2, 1)"),
+        (run_trial, ([], SAMPLES, SAMPLES, LMS, 20),
+         "system must be 1-d with at least one tap, got shape (0,)"),
+        (run_trial, (1.0, SAMPLES, SAMPLES, LMS, 20),
+         "system must be 1-d with at least one tap, got shape ()"),
+        (run_trial, ([1.0], SAMPLES[None], SAMPLES, LMS, 20), "x must be 1-d, got shape (1, 30)"),
+        (run_trial, ([1.0], SAMPLES, SAMPLES[None], LMS, 20),
+         "noise must be 1-d, got shape (1, 30)"),
+        (regressor_at, ([[1.0, 2.0]], 0, 2), "x must be 1-d, got shape (1, 2)"),
+        (regressor_at, (1.0, 0, 2), "x must be 1-d, got shape ()"),
         (msd, (["a"], [1.0]), f"true_w {FLOATS} ['a']"),
         (msd, ([1.0], ["a"]), f"est_w {FLOATS} ['a']"),
         (pnorm_like, (["a"], 0.5), f"w {FLOATS} ['a']"),
@@ -653,8 +666,10 @@ REAL = "must be a real number, got"
         "step-desired-str", "step-desired-none", "step-desired-list",
         "run_trial-system-str", "run_trial-system-ragged", "run_trial-x-str",
         "run_trial-x-ragged", "run_trial-noise-str", "run_trial-noise-ragged",
-        "regressor_at", "msd-true_w", "msd-est_w", "pnorm_like", "pnorm_like_gradient_term",
-        "config-mu", "config-gamma", "config-p", "experiment-ar_coeff",
+        "regressor_at", "run_trial-system-2d", "run_trial-system-empty",
+        "run_trial-system-scalar", "run_trial-x-2d", "run_trial-noise-2d",
+        "regressor_at-x-2d", "regressor_at-x-scalar", "msd-true_w", "msd-est_w", "pnorm_like",
+        "pnorm_like_gradient_term", "config-mu", "config-gamma", "config-p", "experiment-ar_coeff",
         "experiment-drive_variance", "experiment-noise_variance", "pnorm_like-p",
         "pnorm_like_gradient_term-epsilon_pl", "gen_ar1_input-coeff",
         "gen_gaussian_noise-variance", "gen_cell_realizations-noise_variance",
@@ -676,7 +691,9 @@ def test_reals_are_read_as_floats():
     # a Python int of 2**64 passed the checks, then became an object array in numpy
     cfg = AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=2**64, gamma=0, rho_pl=np.float32(0.5))
     assert [type(v) for v in (cfg.mu, cfg.gamma, cfg.rho_pl)] == [float] * 3
-    assert cfg._operands[0].dtype == np.float64
+    leak_mult, shrink = cfg._operands
+    assert leak_mult is None  # a multiplier of 1, with gamma = 0
+    assert [np.asarray(c).dtype for c in shrink] == [np.float64] * 4
     assert ExperimentConfig(noise_variance=1, ar_coeff=np.float64(0.5)).noise_variance == 1.0
     noise = gen_gaussian_noise(10, 2**64, RngStream(1))
     np.testing.assert_array_equal(noise, gen_gaussian_noise(10, float(2**64), RngStream(1)))

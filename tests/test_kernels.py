@@ -1,10 +1,10 @@
 """The run-batched numpy engine against a scalar reference loop.
 
 ``scalar_trial`` is the plain-Python form of one trial (tap by tap, one
-scalar at a time).  It shares no code with ``experiment._run_batch`` or with
-``filter_core.step``, so agreement with it checks the engine's arithmetic,
-not just its consistency with itself.  The engine and ``step`` sum over taps
-in the same left-to-right order, so all three agree bit for bit.
+scalar at a time).  It shares no code with the package, so agreement with it
+checks the engine's arithmetic, not just its consistency with itself.  The
+engine and ``filter_core.step`` share one update, ``filter_core._advance``,
+and both sum over taps left to right, so all three agree bit for bit.
 """
 
 import math
@@ -24,7 +24,8 @@ from sparselms import (
     default_schedule,
     step,
 )
-from sparselms.experiment import _batch_signal, _left_fold, _run_batch
+from sparselms.experiment import _batch_signal, _run_batch
+from sparselms.filter_core import _left_fold
 from sparselms.signal_gen import (
     gen_ar1_input,
     gen_cell_realizations,
@@ -170,6 +171,9 @@ def test_numpy_axis0_sum_is_a_left_fold(width):
     a = rng.standard_normal((16, width)) * 10.0 ** rng.uniform(-8, 8, (16, width))
     assert not np.array_equal(left_fold(a), left_fold(a[::-1]))  # the data shows the order
     np.testing.assert_array_equal(_left_fold(a), left_fold(a))
+    # step's w . x and msd fold one filter's (taps,) array to a float
+    for v in a.T:
+        assert type(_left_fold(v)) is float and _left_fold(v) == left_fold(v)
     # the per-block traces fold a (block x taps x runs) array the same way
     b = rng.standard_normal((8, 16, width)) * 10.0 ** rng.uniform(-8, 8, (8, 16, width))
     np.testing.assert_array_equal(_left_fold(b), left_fold(b.transpose(1, 0, 2)))
