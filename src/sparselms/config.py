@@ -18,8 +18,10 @@ schedule entry, e.g.::
 
 Hyperparameter keys at global scope (``mu``, ``gamma``, ``rho_pl``,
 ``epsilon_pl``, ``p``, ``leak_sign``) broadcast to every schedule entry of
-the variants they apply to.  A key may appear once per scope and a section
-once per document.
+the variants they apply to: an entry takes its level's ``_LEVEL_PARAMS``, then
+the global keys it reads, then its section's keys, even those its variant ignores.
+A key may appear once per scope and a section once per document.
+``tests/test_cli.py`` pins every message and stores a digest of seeded outcomes.
 
 An unset ``steady_state_window`` is ``min(500, iterations)``; a set one must
 satisfy ``1 <= window <= iterations``, whether ``iterations`` comes from the
@@ -57,6 +59,20 @@ def _check_level(level, n_taps):
     return check_integer("sparsity level", level, 1, n_taps)
 
 
+def _entry(variant, level, broadcast=None, section=None):
+    """The schedule entry of ``variant`` at ``level``.
+
+    Its hyperparameters are the level's ``_LEVEL_PARAMS``, then the
+    ``broadcast`` (global) keys, each kept only if the variant reads it, then
+    the ``section``'s keys, kept as given; every other field is
+    ``AlgorithmConfig``'s default.
+    """
+    params = dict(zip(("rho_pl", "gamma"), _LEVEL_PARAMS.get(level, ())), **(broadcast or {}))
+    params = {k: v for k, v in params.items() if variant in _READERS[k]}
+    params.update(section or {})
+    return AlgorithmConfig(variant, **params)
+
+
 def default_schedule():
     """Hyperparameters for every (variant, nonzero-count) cell of the default study.
 
@@ -64,13 +80,7 @@ def default_schedule():
     it reads; every other field is ``AlgorithmConfig``'s default (mu=0.015,
     and p=0.5, epsilon_pl=10 for the shrinkage variants).
     """
-    sched = {}
-    for level, (rho_pl, gamma) in _LEVEL_PARAMS.items():
-        for variant in Variant:
-            params = {"rho_pl": rho_pl, "gamma": gamma}
-            params = {k: v for k, v in params.items() if variant in _READERS[k]}
-            sched[variant, level] = AlgorithmConfig(variant, **params)
-    return sched
+    return {(v, level): _entry(v, level) for level in _LEVEL_PARAMS for v in Variant}
 
 
 @dataclasses.dataclass
@@ -126,30 +136,30 @@ class ExperimentConfig:
         self.noise_variance = check_real("noise_variance", self.noise_variance, ge=0, lt=math.inf)
 
 
-# The document keys of ExperimentConfig's int and float fields, each with its type.
-_SCALAR_KEYS = {
-    f.name: f.type for f in dataclasses.fields(ExperimentConfig) if f.type in (int, float)
+def _expects(kind, key):
+    return kind, f"key '{key}' expects {'an integer' if kind is int else 'a number'}"
+
+
+# Each document key's reader, and the rule that a value it cannot read breaks:
+# ExperimentConfig's int and float fields, sparsity_levels, and the
+# hyperparameters of filter_core._READERS, floats but for leak_sign.
+_VALUES = {
+    **{f.name: _expects(f.type, f.name) for f in dataclasses.fields(ExperimentConfig)
+       if f.type in (int, float)},
+    "sparsity_levels": (lambda value: tuple(int(tok.strip()) for tok in value.split(",")),
+                        "key 'sparsity_levels' expects comma-separated integers"),
+    **{key: _expects(float, key) for key in _READERS},
+    "leak_sign": (LeakSign, "leak_sign must be 'plus' or 'minus'"),
 }
 
 
-def _coerce(key, value, lineno, kind=float):
+def _read(key, value, lineno):
+    """The document's ``value`` of ``key``, a key of ``_VALUES``, read as its type."""
+    kind, rule = _VALUES[key]
     try:
         return kind(value)
     except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"line {lineno}: key '{key}' expects {what}, got {value!r}") from None
-
-
-def _coerce_hyperparameter(key, value, lineno):
-    """A key of ``filter_core._READERS``: a LeakSign for ``leak_sign``, else a float."""
-    if key != "leak_sign":
-        return _coerce(key, value, lineno)
-    try:
-        return LeakSign(value)
-    except ValueError:
-        raise ConfigError(
-            f"line {lineno}: leak_sign must be 'plus' or 'minus', got {value!r}"
-        ) from None
+        raise ConfigError(f"line {lineno}: {rule}, got {value!r}") from None
 
 
 def _parse_document(text):
@@ -194,12 +204,8 @@ def _parse_document(text):
             current = {}
             sections[variant, level] = (lineno, current)
             continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not (sep and key and value):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
         if key in current:
             raise ConfigError(
@@ -219,23 +225,11 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
     the document's keys of those names, as the command-line flags do.
     """
     global_kv, sections = _parse_document(text)
-    fields = {}
-    broadcast = {}
+    fields, broadcast = {}, {}
     for key, (lineno, value) in global_kv.items():
-        if key == "sparsity_levels":
-            try:
-                fields[key] = tuple(int(tok.strip()) for tok in value.split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: key 'sparsity_levels' expects comma-separated "
-                    f"integers, got {value!r}"
-                ) from None
-        elif key in _SCALAR_KEYS:
-            fields[key] = _coerce(key, value, lineno, _SCALAR_KEYS[key])
-        elif key in _READERS:
-            broadcast[key] = _coerce_hyperparameter(key, value, lineno)
-        else:
+        if key not in _VALUES:
             raise ConfigError(f"line {lineno}: unknown config key '{key}'")
+        (broadcast if key in _READERS else fields)[key] = _read(key, value, lineno)
 
     n_taps = fields.get("n_taps", ExperimentConfig.n_taps)
     section_cfg = {}
@@ -243,28 +237,18 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
         # no run reads a section outside 1..n_taps; a bad n_taps is ExperimentConfig's to name
         if n_taps >= 1 and not 1 <= level <= n_taps:
             raise ConfigError(f"line {header}: [{variant.value}.{level}]: level not in 1..{n_taps}")
-        entry = {}
+        entry = section_cfg[variant, level] = {}
         for key, (lineno, value) in kv.items():
-            if key in _READERS:
-                entry[key] = _coerce_hyperparameter(key, value, lineno)
-            else:
+            if key not in _READERS:
                 raise ConfigError(
                     f"line {lineno}: unknown schedule key '{key}' in [{variant.value}.{level}]"
                 )
-        section_cfg[(variant, level)] = entry
+            entry[key] = _read(key, value, lineno)
 
     overrides = {"master_seed": master_seed, "runs": runs, "iterations": iterations}
     fields.update((k, v) for k, v in overrides.items() if v is not None)
     levels = fields.get("sparsity_levels", ExperimentConfig.sparsity_levels)
-    needed = set(levels) | {lvl for (_, lvl) in section_cfg}
-    table = default_schedule()
-    schedule = {}
-    for variant in Variant:
-        for level in sorted(needed):
-            base = table.get((variant, level), AlgorithmConfig(variant))
-            overrides = {k: v for k, v in broadcast.items() if variant in _READERS[k]}
-            overrides.update(section_cfg.get((variant, level), {}))
-            schedule[(variant, level)] = (
-                dataclasses.replace(base, **overrides) if overrides else base
-            )
+    needed = sorted(set(levels).union(level for _, level in section_cfg))
+    schedule = {(v, level): _entry(v, level, broadcast, section_cfg.get((v, level)))
+                for v in Variant for level in needed}
     return ExperimentConfig(schedule=schedule, **fields)

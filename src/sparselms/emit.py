@@ -4,7 +4,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, as_tuple, check_instance
+from .experiment import MsdCurve
 from .filter_core import Variant
 
 __all__ = ["emit_csv", "emit_plot"]
@@ -21,8 +22,13 @@ _COLORS = {
 _DB_FLOOR = 1e-300
 
 
-def _curve_key(curve):
-    return (_VARIANT_ORDER[curve.variant], curve.sparsity_level)
+def _sorted(curves):
+    """``curves`` in (algorithm, sparsity) order; a ParameterError names an item
+    that is not an MsdCurve."""
+    curves = as_tuple("curves", curves)
+    for i, curve in enumerate(curves):
+        check_instance(f"curves[{i}]", curve, MsdCurve)
+    return sorted(curves, key=lambda c: (_VARIANT_ORDER[c.variant], c.sparsity_level))
 
 
 def emit_csv(curves, out):
@@ -33,7 +39,7 @@ def emit_csv(curves, out):
     iteration); the newline is always ``\\n``.  Each curve is written in one
     pass: its rows form one ``%``-template, filled from ``values.tolist()``.
     """
-    rows = sorted(curves, key=_curve_key)
+    rows = _sorted(curves)
     with open(out, "w", newline="") as fh:
         fh.write("algorithm,sr_numerator,sr_denominator,iteration,msd\n")
         for c in rows:
@@ -57,7 +63,7 @@ def emit_plot(curves, out, db_scale=False):
     plotted data range; a shared legend sits on top.  A polyline's points
     are one ``%``-template filled from ``.tolist()``.
     """
-    curves = sorted(curves, key=_curve_key)
+    curves = _sorted(curves)
     if not curves:
         raise ParameterError("emit_plot needs at least one curve")
     levels = sorted({(c.sparsity_level, c.n_taps) for c in curves})

@@ -94,7 +94,8 @@ def check_real(name, value, *, ge=None, gt=None, lt=None):
 def check_instance(name, value, kind):
     """``value`` if it is a ``kind``; else a ParameterError naming it."""
     if not isinstance(value, kind):
-        raise ParameterError(f"{name} must be a {kind.__name__}, got {value!r}")
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ParameterError(f"{name} must be {article} {kind.__name__}, got {value!r}")
     return value
 
 

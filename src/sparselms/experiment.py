@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import _check_level
+from . import config as _config
 from .errors import (
     NON_FINITE,
     ConfigError,
@@ -46,7 +46,7 @@ from .errors import (
     check_integer,
     quietly,
 )
-from .filter_core import Variant, _advance, _left_fold
+from .filter_core import AlgorithmConfig, Variant, _advance, _left_fold
 from .signal_gen import gen_cell_realizations
 
 __all__ = [
@@ -82,7 +82,7 @@ class MsdCurve:
     def __post_init__(self):
         check_instance("variant", self.variant, Variant)
         n_taps = check_integer("n_taps", self.n_taps, 1)
-        _check_level(self.sparsity_level, n_taps)
+        _config._check_level(self.sparsity_level, n_taps)
         check_integer("runs", self.runs, 1)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 1 or self.values.shape[0] < 1:
@@ -189,6 +189,7 @@ def run_trial(system, x, noise, cfg, iterations):
     system = np.ascontiguousarray(as_vector("system", system, taps=True))
     x = np.ascontiguousarray(as_vector("x", x))
     noise = as_vector("noise", noise)
+    check_instance("cfg", cfg, AlgorithmConfig)
     check_integer("iterations", iterations, 1)
     if x.shape[0] < iterations or noise.shape[0] < iterations:
         raise DimensionMismatchError(
@@ -283,12 +284,13 @@ def run_experiment(config, variants=None, levels=None):
         Once every cell has run: the first diverging cell's in variant-major
         order, naming its first diverging run and the iteration.
     """
+    check_instance("config", config, _config.ExperimentConfig)
     variants = tuple(Variant) if variants is None else as_tuple("variants", variants)
     for variant in variants:
         if not isinstance(variant, Variant):
             raise ParameterError(f"variants must be Variant members, got {variant!r}")
     levels = config.sparsity_levels if levels is None else as_tuple("levels", levels)
-    levels = [_check_level(s, config.n_taps) for s in levels]
+    levels = [_config._check_level(s, config.n_taps) for s in levels]
     for what, names in (("variant", [v.value for v in variants]), ("sparsity level", levels)):
         repeats = [name for i, name in enumerate(names) if name in names[:i]]
         if repeats:
@@ -312,7 +314,7 @@ def steady_state(curve, window):
     curve carries them (and 0.0 otherwise, e.g. for hand-built curves or a
     single run).  A window wider than the stored per-run tails raises.
     """
-    n = curve.values.shape[0]
+    n = check_instance("curve", curve, MsdCurve).values.shape[0]
     check_integer("window", window, 1, n)
     mean = float(curve.values[-window:].mean())
     stderr = 0.0

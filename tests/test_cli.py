@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import io
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -229,6 +230,96 @@ def test_parse_config_raises_only_named_errors(lines):
     except (ConfigError, ParameterError):
         return
     assert isinstance(config, ExperimentConfig)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("runs = many", "line 1: key 'runs' expects an integer, got 'many'"),
+        ("ar_coeff = x", "line 1: key 'ar_coeff' expects a number, got 'x'"),
+        ("mu = x", "line 1: key 'mu' expects a number, got 'x'"),
+        ("[lms.1]\nruns = many", "line 2: unknown schedule key 'runs' in [lms.1]"),
+        ("[lms.1]\nar_coeff = x", "line 2: unknown schedule key 'ar_coeff' in [lms.1]"),
+        ("[llms.4]\nmu = x", "line 2: key 'mu' expects a number, got 'x'"),
+        ("leak_sign = up", "line 1: leak_sign must be 'plus' or 'minus', got 'up'"),
+        ("[lp_like_llms.16]\nleak_sign = up",
+         "line 2: leak_sign must be 'plus' or 'minus', got 'up'"),
+        ("sparsity_levels = 1,a",
+         "line 1: key 'sparsity_levels' expects comma-separated integers, got '1,a'"),
+        ("[lms.x]", "line 1: sparsity level in [lms.x] must be an integer"),
+        ("[lms.1.5]", "line 1: sparsity level in [lms.1.5] must be an integer"),
+        ("runs", "line 1: expected 'key = value', got 'runs'"),
+        ("runs =", "line 1: expected 'key = value', got 'runs ='"),
+        ("= 3", "line 1: expected 'key = value', got '= 3'"),
+    ],
+    ids=["runs", "ar_coeff", "mu", "section-runs", "section-ar_coeff", "section-mu",
+         "leak_sign", "section-leak_sign", "sparsity_levels", "level-x", "level-1.5",
+         "no-equals", "no-value", "no-key"],
+)
+def test_config_value_errors_name_line_and_key(text, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert str(exc.value) == message
+
+
+def test_schedule_precedence_is_level_then_global_then_section():
+    config = parse_config("gamma = 0.25\n[llms.1]\ngamma = 0.5\n[lms.1]\ngamma = 0.7")
+    gamma = {key: entry.gamma for key, entry in config.schedule.items()}
+    assert gamma[Variant.LLMS, 1] == 0.5  # the section wins over the global key
+    assert gamma[Variant.LLMS, 4] == 0.25  # the global key wins over the level's 0.005
+    # a section keeps a key its rule ignores; a global key reaches only its readers
+    assert gamma[Variant.LMS, 1] == 0.7
+    assert gamma[Variant.LMS, 4] == 0.0
+    assert gamma[Variant.LP_LIKE_LLMS, 16] == 0.25
+
+
+# Lines of the seeded documents below: a known key with a value in its range, or
+# with one from BAD_VALUES, an unknown key, a section header or a junk line.
+GOOD_VALUES = {
+    "n_taps": ("16", "8", "4", "20"), "iterations": ("10", "100", "8000"),
+    "runs": ("1", "2", "200"), "steady_state_window": ("1", "5", "500"),
+    "master_seed": ("0", "7", "1234"), "ar_coeff": ("0.8", "0", "-0.5"),
+    "drive_variance": ("1e-3", "1"), "noise_variance": ("1e-2", "0"),
+    "sparsity_levels": ("1", "1, 4", "2,8", "16, 1"), "mu": ("0.015", "0.02", "0"),
+    "gamma": ("0.25", "0.001"), "rho_pl": ("0.003", "0"), "epsilon_pl": ("10", "0.5"),
+    "p": ("0.5", "0.9"), "leak_sign": ("plus", "minus"),
+}
+BAD_VALUES = ("many", "x", "1,a", "1, 1", "1e400", "nan", "-inf", "-1", "1.5", "3.0", "up",
+              "0x10", "1_000", "\u0661", "PLUS")
+JUNK_LINES = ("runs", "runs =", "= 3", "=", "# note", "", "stepsize = 0.1",
+              "[lms.x]", "[lms.1.5]", "[nlms.1]", "[lms]", "[lms.1", "[ llms . 4 ]")
+# sha256 of every outcome of seeded_documents(), taken from config.py before its
+# schedule entries and document values each got one owner; a change of any message
+# or of any schedule entry changes it.
+OUTCOME_SHA256 = "fa17b38659c8843a80ec6c260d403b9e3fd034f5fbcf5c8d2b0697e344443a48"
+
+
+def seeded_documents(count=2000, seed=20261019):
+    rng = random.Random(seed)
+    for _ in range(count):
+        lines = []
+        for _ in range(rng.randint(0, 6)):
+            draw = rng.random()
+            if draw < 0.55:
+                key = rng.choice(KNOWN_KEYS)
+                value = rng.choice(GOOD_VALUES[key] if rng.random() < 0.85 else BAD_VALUES)
+                lines.append(f"{key} = {value}")
+            elif draw < 0.85:
+                lines.append(f"[{rng.choice(list(Variant)).value}.{rng.randint(-1, 17)}]")
+            else:
+                lines.append(rng.choice(JUNK_LINES))
+        yield "\n".join(lines)
+
+
+def test_parse_config_outcomes_are_stored():
+    digest = hashlib.sha256()
+    for text in seeded_documents():
+        try:
+            outcome = repr(parse_config(text))
+        except (ConfigError, ParameterError) as err:
+            outcome = f"{type(err).__name__}: {err}"
+        digest.update(f"{outcome}\n".encode())
+    assert digest.hexdigest() == OUTCOME_SHA256
 
 
 def test_sparsity_levels_list():

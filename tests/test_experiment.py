@@ -23,6 +23,8 @@ from sparselms import (
     RngStream,
     Variant,
     default_schedule,
+    emit_csv,
+    emit_plot,
     gen_ar1_input,
     gen_cell_realizations,
     gen_gaussian_noise,
@@ -591,6 +593,7 @@ RAGGED = [[1.0], [1.0, 2.0]]
 SAMPLES = np.zeros(30)
 FLOATS = "must be an array of floats, got"
 REAL = "must be a real number, got"
+NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing fails to open it
 
 
 @pytest.mark.parametrize(
@@ -661,6 +664,16 @@ REAL = "must be a real number, got"
             "variants must be a sequence, got <Variant.LMS: 'lms'>",
         ),
         (run_experiment, (small_config(), [Variant.LMS], 1), "levels must be a sequence, got 1"),
+        # arguments of the wrong type: an AttributeError on their first use before
+        (step, (FilterState.zeros(2), [1.0], 1.0, "lms"),
+         "cfg must be an AlgorithmConfig, got 'lms'"),
+        (step, ([0, 0], [1.0, 1.0], 1.0, LMS), "state must be a FilterState, got [0, 0]"),
+        (run_trial, ([1.0], SAMPLES, SAMPLES, "lms", 10),
+         "cfg must be an AlgorithmConfig, got 'lms'"),
+        (run_experiment, (None,), "config must be an ExperimentConfig, got None"),
+        (steady_state, ([1, 2, 3], 2), "curve must be a MsdCurve, got [1, 2, 3]"),
+        (emit_csv, (["x"], NO_FILE), "curves[0] must be a MsdCurve, got 'x'"),
+        (emit_plot, (["x"], NO_FILE), "curves[0] must be a MsdCurve, got 'x'"),
     ],
     ids=[
         "step-desired-str", "step-desired-none", "step-desired-list",
@@ -675,7 +688,8 @@ REAL = "must be a real number, got"
         "gen_gaussian_noise-variance", "gen_cell_realizations-noise_variance",
         "config-mu-bool", "experiment-ar_coeff-complex", "pnorm_like-p-array",
         "experiment-levels-none", "experiment-levels-int", "run_experiment-variants",
-        "run_experiment-levels",
+        "run_experiment-levels", "step-cfg", "step-state", "run_trial-cfg",
+        "run_experiment-config", "steady_state-curve", "emit_csv-curves", "emit_plot-curves",
     ],
 )
 def test_non_numeric_input_fails_by_name(func, args, message):
@@ -950,3 +964,7 @@ def test_msd_curve_rejects_bad_values():
         MsdCurve(Variant.LMS, 1, 16, np.array([1.0, -0.5]), runs=1)
     with pytest.raises(ParameterError):
         MsdCurve(Variant.LMS, 1, 16, np.array([1.0, np.nan]), runs=1)
+    for values in ([[1.0, 0.5]], []):
+        with pytest.raises(ParameterError) as exc:
+            MsdCurve(Variant.LMS, 1, 16, values, runs=1)
+        assert str(exc.value) == "values must be a nonempty 1-d array"
