@@ -3,6 +3,8 @@ config documents that :func:`parse_config` reads into them.
 
 The default study is the paper's grid: all four rules at each level of
 ``_LEVEL_PARAMS``, which also holds each level's ``rho_pl`` and ``gamma``.
+A study built without a schedule has ``_entry``'s entry, as a document's, for
+every rule at those levels and at its own; a schedule passed in is kept as given.
 :mod:`sparselms.experiment` runs a study's cells.
 
 Documents are flat ``key = value`` text with ``#`` comments; a
@@ -80,7 +82,7 @@ def default_schedule():
     it reads; every other field is ``AlgorithmConfig``'s default (mu=0.015,
     and p=0.5, epsilon_pl=10 for the shrinkage variants).
     """
-    return {(v, level): _entry(v, level) for level in _LEVEL_PARAMS for v in Variant}
+    return ExperimentConfig().schedule
 
 
 @dataclasses.dataclass
@@ -88,9 +90,8 @@ class ExperimentConfig:
     """Full study description: protocol constants plus the parameter schedule.
 
     ``schedule`` maps ``(Variant, nonzero-count)`` to an
-    :class:`~sparselms.filter_core.AlgorithmConfig` of that variant; ``None``
-    means :func:`default_schedule`, and ``steady_state_window`` ``None`` means
-    ``min(500, iterations)``.
+    :class:`~sparselms.filter_core.AlgorithmConfig` of that variant (``None``: see
+    the module docstring); ``steady_state_window`` ``None`` means ``min(500, iterations)``.
     """
 
     n_taps: int = 16
@@ -105,9 +106,8 @@ class ExperimentConfig:
     steady_state_window: int = None
 
     def __post_init__(self):
-        if self.schedule is None:
-            self.schedule = default_schedule()
-        for key, entry in check_instance("schedule", self.schedule, dict).items():
+        schedule = {} if self.schedule is None else self.schedule
+        for key, entry in check_instance("schedule", schedule, dict).items():
             variant, level = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
             if not (isinstance(variant, Variant) and isinstance(level, numbers.Integral)):
                 raise ParameterError(f"schedule key must be (Variant, integer level), got {key!r}")
@@ -128,6 +128,9 @@ class ExperimentConfig:
         )
         if len(set(self.sparsity_levels)) != len(self.sparsity_levels):
             raise ParameterError(f"sparsity levels must not repeat, got {self.sparsity_levels}")
+        if self.schedule is None:
+            levels = dict.fromkeys((*_LEVEL_PARAMS, *self.sparsity_levels))
+            self.schedule = {(v, level): _entry(v, level) for level in levels for v in Variant}
         if self.steady_state_window is None:
             self.steady_state_window = min(500, self.iterations)
         check_integer("steady_state_window", self.steady_state_window, 1, self.iterations)
@@ -224,7 +227,7 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
     ``master_seed``, ``runs`` and ``iterations``, unless ``None``, win over
     the document's keys of those names, as the command-line flags do.
     """
-    global_kv, sections = _parse_document(text)
+    global_kv, sections = _parse_document(check_instance("text", text, str))
     fields, broadcast = {}, {}
     for key, (lineno, value) in global_kv.items():
         if key not in _VALUES:

@@ -49,12 +49,6 @@ def emit_csv(curves, out):
     return out
 
 
-def _transform(values, db_scale):
-    if db_scale:
-        return 10.0 * np.log10(np.maximum(values, _DB_FLOOR))
-    return np.asarray(values, dtype=float)
-
-
 def emit_plot(curves, out, db_scale=False):
     """Write a self-contained SVG: one subplot per sparsity level.
 
@@ -104,7 +98,8 @@ def emit_plot(curves, out, db_scale=False):
         x0, x1 = ox + 64, ox + sub_w - 16
         y0, y1 = oy + 30, oy + sub_h - 40
         group = [c for c in curves if (c.sparsity_level, c.n_taps) == (level, den)]
-        ys = [_transform(c.values, db_scale) for c in group]
+        ys = [10.0 * np.log10(np.maximum(c.values, _DB_FLOOR)) if db_scale else c.values
+              for c in group]
         ymin = min(float(a.min()) for a in ys)
         ymax = max(float(a.max()) for a in ys)
         yspan = ymax - ymin

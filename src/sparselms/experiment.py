@@ -84,13 +84,13 @@ class MsdCurve:
         n_taps = check_integer("n_taps", self.n_taps, 1)
         _config._check_level(self.sparsity_level, n_taps)
         check_integer("runs", self.runs, 1)
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = as_floats("values", self.values)
         if self.values.ndim != 1 or self.values.shape[0] < 1:
             raise ParameterError("values must be a nonempty 1-d array")
         if not np.isfinite(self.values).all() or (self.values < 0).any():
             raise ParameterError("MSD values must be nonnegative and finite")
         if self.run_tails is not None:
-            self.run_tails = np.asarray(self.run_tails, dtype=float)
+            self.run_tails = as_floats("run_tails", self.run_tails)
             if self.run_tails.ndim != 2 or self.run_tails.shape[0] != self.runs:
                 raise ParameterError(
                     f"run_tails must be 2-d with runs={self.runs} rows, "

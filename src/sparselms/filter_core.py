@@ -197,7 +197,8 @@ def pnorm_like(w, p):
     """
     p = check_real("p", p, gt=0, lt=1)
     w = as_floats("w", w)
-    return float(np.sum(np.abs(w) ** p))
+    a = np.ravel(np.abs(w) ** p)  # a scalar is one tap
+    return _left_fold(a) if a.size else 0.0
 
 
 @quietly

@@ -30,6 +30,7 @@ from sparselms import (
     gen_gaussian_noise,
     gen_sparse_system,
     msd,
+    parse_config,
     pnorm_like,
     pnorm_like_gradient_term,
     regressor_at,
@@ -585,6 +586,20 @@ def test_default_schedule_is_the_papers_table():
     assert default_schedule() == expected
 
 
+def test_a_study_without_a_schedule_runs_its_own_levels_as_a_document_does():
+    # level 2 is not in the paper's table; the study had no entry for it and
+    # failed in run_experiment, though the same document ran
+    config = ExperimentConfig(sparsity_levels=(2,), runs=3, iterations=50)
+    document = parse_config("sparsity_levels = 2", runs=3, iterations=50)
+    assert config.schedule == {**default_schedule(), **document.schedule}
+    curves, expected = run_experiment(config), run_experiment(document)
+    assert len(curves) == 4
+    for got, want in zip(curves, expected):
+        assert (got.variant, got.sparsity_level) == (want.variant, want.sparsity_level)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.run_tails.tobytes() == want.run_tails.tobytes()
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -674,6 +689,12 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         (steady_state, ([1, 2, 3], 2), "curve must be a MsdCurve, got [1, 2, 3]"),
         (emit_csv, (["x"], NO_FILE), "curves[0] must be a MsdCurve, got 'x'"),
         (emit_plot, (["x"], NO_FILE), "curves[0] must be a MsdCurve, got 'x'"),
+        # numpy's ValueError, and AttributeError or TypeError on a document not a str
+        (MsdCurve, (Variant.LMS, 1, 16, "abc", 1), f"values {FLOATS} 'abc'"),
+        (MsdCurve, (Variant.LMS, 1, 16, [1.0], 1, "x"), f"run_tails {FLOATS} 'x'"),
+        (parse_config, (None,), "text must be a str, got None"),
+        (parse_config, (123,), "text must be a str, got 123"),
+        (parse_config, (b"runs = 2",), "text must be a str, got b'runs = 2'"),
     ],
     ids=[
         "step-desired-str", "step-desired-none", "step-desired-list",
@@ -690,6 +711,8 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         "experiment-levels-none", "experiment-levels-int", "run_experiment-variants",
         "run_experiment-levels", "step-cfg", "step-state", "run_trial-cfg",
         "run_experiment-config", "steady_state-curve", "emit_csv-curves", "emit_plot-curves",
+        "msd_curve-values", "msd_curve-run_tails", "parse_config-none", "parse_config-int",
+        "parse_config-bytes",
     ],
 )
 def test_non_numeric_input_fails_by_name(func, args, message):
@@ -896,8 +919,12 @@ def test_unset_window_is_min_of_500_and_iterations():
             "schedule key must be (Variant, integer level), got <Variant.LMS: 'lms'>",
         ),
         ([AlgorithmConfig(Variant.LMS)], "schedule must be a dict, got ["),
+        ([], "schedule must be a dict, got []"),
     ],
-    ids=["other-variant", "not-a-config", "name-key", "float-level", "bare-variant", "list"],
+    ids=[
+        "other-variant", "not-a-config", "name-key", "float-level", "bare-variant", "list",
+        "empty-list",
+    ],
 )
 def test_schedule_entries_are_checked(schedule, message):
     # an entry of another variant used to run that rule under this label

@@ -59,6 +59,18 @@ def test_pnorm_like_fractional():
     assert pnorm_like([0.25], 0.5) == pytest.approx(0.5, rel=1e-15)
 
 
+def test_pnorm_like_is_a_left_fold_of_the_powers():
+    # summed in tap order, as msd and the engine sum, not pairwise as np.sum
+    rng = np.random.default_rng(2)
+    w = rng.standard_normal(16) * 10.0 ** rng.uniform(-8, 8, 16)
+    powers = (np.abs(w) ** 0.5).tolist()
+    assert float(np.sum(powers)) != left_fold(powers)
+    assert pnorm_like(w, 0.5) == left_fold(powers)
+    assert pnorm_like(w.reshape(4, 4), 0.5) == left_fold(powers)
+    assert pnorm_like(0.25, 0.5) == 0.5
+    assert pnorm_like([], 0.5) == 0.0
+
+
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
 def test_pnorm_like_p_range(p):
     with pytest.raises(ParameterError, match="0 < p < 1"):
@@ -230,10 +242,25 @@ def test_step_error_is_variant_independent(variant):
     assert err == float(d) - left_fold(products)
 
 
+# At p = 0.3 the shrinkage takes |w|**0.7 through numpy's SIMD power loop,
+# whose last bit differs between its AVX-512 loop and its other x86-64 loops;
+# x ** 0.7 on this canary tells them apart.
+POWER_CANARY = float.fromhex("0x1.582f121aaf5fap-2")
+POWER_LOOPS = {"0x1.dd5b6805b4ba3p-2": "avx512", "0x1.dd5b6805b4ba4p-2": "x86-64"}
+
+
+def power_loop():
+    """The name of the power loop numpy runs, read from the canary's bits."""
+    bits = float((np.array([POWER_CANARY]) ** 0.7)[0]).hex()
+    if bits not in POWER_LOOPS:
+        pytest.fail(f"{POWER_CANARY.hex()} ** 0.7 is {bits}, the bits of no stored power loop")
+    return POWER_LOOPS[bits]
+
+
 # sha256 of the weights after every step, then the errors, of a 2000-step
 # loop from zero weights, with w . x summed as the engine's left fold, so any
-# change to step()'s arithmetic shows here bit for bit; on another CPU only
-# the POWER_LOOP_DIGESTS below may differ
+# change to step()'s arithmetic shows here bit for bit; the three p = 0.3
+# shrinkage loops hold one digest per power loop
 LOOP_SHA256 = {
     (Variant.LMS, None): (
         "bbd2d75fd28e3d25a5db74c80e37b5c5b3ecf9d0287f14552c0ad1137c0c61ef"
@@ -241,16 +268,25 @@ LOOP_SHA256 = {
     (Variant.LLMS, None): (
         "f250842b0061a7101dba04c965109f14e8a2ca845eaacf52c42815ac9bc9ff7f"
     ),
-    (Variant.LP_LIKE_LMS, None): (
-        "c99ca3d4af92067cd493715098f548e4010106fa6999e7027cbdd8f4b24c668b"
-    ),
-    (Variant.LP_LIKE_LLMS, None): (
-        "da69eda6afc7952ae942e8300f592cb95f9ccf86331478e9074f7b32c6953206"
-    ),
-    (Variant.LP_LIKE_LLMS, LeakSign.MINUS): (
-        "6a0387305a599e417f50e686432bdf816b723d10cc7f8e6bfb9d3ae47e983a0b"
-    ),
+    (Variant.LP_LIKE_LMS, None): {
+        "avx512": "c99ca3d4af92067cd493715098f548e4010106fa6999e7027cbdd8f4b24c668b",
+        "x86-64": "c99ca3d4af92067cd493715098f548e4010106fa6999e7027cbdd8f4b24c668b",
+    },
+    (Variant.LP_LIKE_LLMS, None): {
+        "avx512": "da69eda6afc7952ae942e8300f592cb95f9ccf86331478e9074f7b32c6953206",
+        "x86-64": "6e11e95c1cf8135e61db7eba39d245313419681adad5309c9ccea109b397ed57",
+    },
+    (Variant.LP_LIKE_LLMS, LeakSign.MINUS): {
+        "avx512": "6a0387305a599e417f50e686432bdf816b723d10cc7f8e6bfb9d3ae47e983a0b",
+        "x86-64": "ddcbf3d6cea6d567386696aeeef333b84749ea53aa94d9047c522f2f742b1a5c",
+    },
 }
+
+
+def stored_loop_sha256(case, loop):
+    """``case``'s stored digest under the power loop named ``loop``."""
+    digest = LOOP_SHA256[case]
+    return digest if isinstance(digest, str) else digest[loop]
 
 
 # the same loop at the default study's p = 0.5, epsilon_pl = 10 and
@@ -288,7 +324,7 @@ def loop_sha256(variant, leak_sign, steps=2000, n_taps=16, p=0.3, epsilon_pl=0.5
 
 @pytest.mark.parametrize("case", list(LOOP_SHA256), ids=lambda c: f"{c[0].value}-{c[1]}")
 def test_step_loop_bits_are_stored(case):
-    assert loop_sha256(*case) == LOOP_SHA256[case]
+    assert loop_sha256(*case) == stored_loop_sha256(case, power_loop())
 
 
 @pytest.mark.parametrize("variant", list(SQRT_LOOP_SHA256), ids=lambda v: v.value)
@@ -298,11 +334,11 @@ def test_step_loop_bits_at_p_half_are_stored(variant):
 
 
 def portable_digests(out_dir):
-    """sha256 of the seven stored step loops and of a small study's CSV, by name."""
-    digests = {
-        f"LOOP_SHA256[{variant.value}-{sign}]": loop_sha256(variant, sign)
-        for variant, sign in LOOP_SHA256
-    }
+    """The power loop numpy runs, and sha256 of the seven stored step loops and of a
+    small study's CSV, by name."""
+    digests = {"power-loop": power_loop()}
+    for variant, sign in LOOP_SHA256:
+        digests[f"LOOP_SHA256[{variant.value}-{sign}]"] = loop_sha256(variant, sign)
     for variant in SQRT_LOOP_SHA256:
         digests[f"SQRT_LOOP_SHA256[{variant.value}]"] = loop_sha256(
             variant, None, p=0.5, epsilon_pl=10.0, rho_pl=0.003
@@ -322,16 +358,6 @@ from test_filter_core import portable_digests
 print(json.dumps(portable_digests(Path({out!r}))))
 """
 
-# At p = 0.3 numpy's power loop rounds |w|**0.7 in the last bit by its SIMD
-# target; which of the shrinkage loops carry that into their weights depends
-# on the data and the CPU, so none of the three is held to its stored bits.
-POWER_LOOP_DIGESTS = {
-    f"LOOP_SHA256[{variant.value}-{sign}]"
-    for variant, sign in LOOP_SHA256
-    if variant in (Variant.LP_LIKE_LMS, Variant.LP_LIKE_LLMS)
-}
-
-
 def cpu_settings():
     """Settings that make OpenBLAS and numpy pick other kernels in a child process.
 
@@ -342,34 +368,34 @@ def cpu_settings():
     found = simd.get("found", [])
     settings = {}
     if {"AVX2", "X86_V3", "X86_V4"} & set(simd["baseline"] + found):
-        settings["blas-haswell"] = ({"OPENBLAS_CORETYPE": "Haswell"}, set())
+        settings["blas-haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
     avx512 = [t for t in ("AVX512_SPR", "AVX512_ICL", "X86_V4") if t in found]
-    settings["numpy-no-avx512"] = (
-        {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}, POWER_LOOP_DIGESTS
-    )
+    settings["numpy-no-avx512"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(avx512)}
     return settings
 
 
 def test_step_loops_and_study_are_portable(tmp_path, package_env):
     # step() sums w . x as the engine's left fold, not by BLAS, and the study
-    # runs p = 0.5 as a square root, so neither depends on the CPU's kernels
+    # runs p = 0.5 as a square root, so neither depends on the CPU's kernels;
+    # the p = 0.3 loops equal the stored digests of the power loop each child runs
     tests = str(Path(__file__).resolve().parent)
-    settings = cpu_settings()
     children = {
         name: subprocess.Popen(
             [sys.executable, "-c", PORTABLE_CHILD.format(tests=tests, out=str(tmp_path / name))],
             env={**package_env, **setting}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True,
         )
-        for name, (setting, _) in settings.items()
+        for name, setting in cpu_settings().items()
     }
     own = portable_digests(tmp_path)
-    for name, (_, may_differ) in settings.items():
-        out, err = children[name].communicate(timeout=60)
-        assert (children[name].returncode, err) == (0, ""), name
+    for name, child in children.items():
+        out, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (0, ""), name
         got = json.loads(out)
-        assert got.keys() == own.keys()
-        assert {key for key in own if got[key] != own[key]} <= may_differ, name
+        loop = got["power-loop"]
+        stored = {f"LOOP_SHA256[{variant.value}-{sign}]": stored_loop_sha256((variant, sign), loop)
+                  for variant, sign in LOOP_SHA256}
+        assert got == {**own, **stored, "power-loop": loop}, name
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -21,6 +21,7 @@ def test_rng_stream_replays_bit_exactly():
     a = RngStream(77, 3).generator.standard_normal(256)
     b = RngStream(77, 3).generator.standard_normal(256)
     np.testing.assert_array_equal(a, b)
+    assert repr(RngStream(77, 3)) == "RngStream(seed=77, stream_id=3)"
 
 
 def test_rng_stream_ids_are_independent():
