@@ -4,7 +4,9 @@ config documents that :func:`parse_config` reads into them.
 The default study is the paper's grid: all four rules at each level of
 ``_LEVEL_PARAMS``, which also holds each level's ``rho_pl`` and ``gamma``.
 A study built without a schedule has ``_entry``'s entry, as a document's, for
-every rule at those levels and at its own; a schedule passed in is kept as given.
+every rule at those levels and at its own; so does a copy of it
+(``dataclasses.replace``) at the copy's levels, where it keeps the entries of
+its original, edited in place or not.  A schedule passed in is kept as given.
 :mod:`sparselms.experiment` runs a study's cells.
 
 Documents are flat ``key = value`` text with ``#`` comments; a
@@ -75,6 +77,11 @@ def _entry(variant, level, broadcast=None, section=None):
     return AlgorithmConfig(variant, **params)
 
 
+class _BuiltSchedule(dict):
+    """The schedule that an :class:`ExperimentConfig` built because none was
+    passed; a copy of that study, which is passed it, builds its own from it."""
+
+
 def default_schedule():
     """Hyperparameters for every (variant, nonzero-count) cell of the default study.
 
@@ -82,7 +89,7 @@ def default_schedule():
     it reads; every other field is ``AlgorithmConfig``'s default (mu=0.015,
     and p=0.5, epsilon_pl=10 for the shrinkage variants).
     """
-    return ExperimentConfig().schedule
+    return dict(ExperimentConfig().schedule)
 
 
 @dataclasses.dataclass
@@ -128,9 +135,11 @@ class ExperimentConfig:
         )
         if len(set(self.sparsity_levels)) != len(self.sparsity_levels):
             raise ParameterError(f"sparsity levels must not repeat, got {self.sparsity_levels}")
-        if self.schedule is None:
+        if self.schedule is None or type(self.schedule) is _BuiltSchedule:
+            built = self.schedule or {}
             levels = dict.fromkeys((*_LEVEL_PARAMS, *self.sparsity_levels))
-            self.schedule = {(v, level): _entry(v, level) for level in levels for v in Variant}
+            keys = [(v, level) for level in levels for v in Variant]
+            self.schedule = _BuiltSchedule({k: built[k] if k in built else _entry(*k) for k in keys})
         if self.steady_state_window is None:
             self.steady_state_window = min(500, self.iterations)
         check_integer("steady_state_window", self.steady_state_window, 1, self.iterations)

@@ -125,18 +125,24 @@ _BLOCK = 4
 
 
 @quietly
-def _batch_signal(systems, xs, noises, iterations):
+def _batch_signal(realizations, iterations):
     """The engine's ``(xr, systems.T, desired)`` from row-per-run realizations.
 
-    ``xr`` is the input reversed in time, then ``taps - 1`` zeros: iteration
-    k's regressor is its rows ``iterations-1-k`` onward.  ``desired[k]`` is
-    ``noise[k] + s_0*x[k] + s_1*x[k-1] + ...``, summed in that order.
+    ``realizations`` is a list ``[systems, xs, noises]``, which is emptied once
+    they are copied, so that the tap loop does not hold a level's realization
+    buffer.  ``xr`` is the input reversed in time, then ``taps - 1`` zeros:
+    iteration k's regressor is its rows ``iterations-1-k`` onward.
+    ``desired[k]`` is ``noise[k] + s_0*x[k] + s_1*x[k-1] + ...``, summed in
+    that order.
     """
+    systems, xs, noises = realizations
+    realizations.clear()
     runs, n_taps = systems.shape
     xr = np.zeros((iterations + n_taps - 1, runs))
     xr[:iterations] = xs[:, iterations - 1 :: -1].T
     sT = np.ascontiguousarray(systems.T)
     desired = noises[:, :iterations].T.copy()
+    del systems, xs, noises
     for i in range(n_taps):
         desired += sT[i] * xr[i : i + iterations][::-1]
     return xr, sT, desired
@@ -186,8 +192,8 @@ def run_trial(system, x, noise, cfg, iterations):
         If the run fails by the cells' rule (see :func:`_check_runs`), with the
         offending iteration index.
     """
-    system = np.ascontiguousarray(as_vector("system", system, taps=True))
-    x = np.ascontiguousarray(as_vector("x", x))
+    system = as_vector("system", system, taps=True)
+    x = as_vector("x", x)
     noise = as_vector("noise", noise)
     check_instance("cfg", cfg, AlgorithmConfig)
     check_integer("iterations", iterations, 1)
@@ -196,7 +202,7 @@ def run_trial(system, x, noise, cfg, iterations):
             f"input and noise must provide at least {iterations} samples, "
             f"got {x.shape[0]} and {noise.shape[0]}"
         )
-    signal = _batch_signal(system[None], x[None], noise[None], iterations)
+    signal = _batch_signal([system[None], x[None], noise[None]], iterations)
     traces, bad = _run_batch(*signal, cfg)
     _check_runs(traces, bad)
     return traces[0]
@@ -245,12 +251,11 @@ def _run_level(config, cfgs, level):
     caller decides which error to report.
     """
     n = config.iterations
-    systems, xs, noises = gen_cell_realizations(
+    realizations = list(gen_cell_realizations(
         config.master_seed, config.runs, config.n_taps, level, n + config.n_taps,
         config.ar_coeff, config.drive_variance, config.noise_variance,
-    )
-    signal = _batch_signal(systems, xs, noises, n)
-    del systems, xs, noises  # the engine's time-major copies replace them
+    ))
+    signal = _batch_signal(realizations, n)
     outcomes = []
     for cfg in cfgs:
         try:

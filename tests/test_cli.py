@@ -379,15 +379,11 @@ def test_every_public_name_resolves():
 
 
 def test_each_module_lists_its_public_names_once():
-    # the package's __all__ joins its modules' lists, in the order it star-imports them
+    # the package's __all__ joins its modules' lists, in the package's module order
     init = Path(sparselms.__file__)
     tree = ast.parse(init.read_text())
-    starred = [
-        node.module for node in tree.body
-        if isinstance(node, ast.ImportFrom) and [a.name for a in node.names] == ["*"]
-    ]
     joined = [
-        name for module in starred
+        name for module in sparselms._MODULES
         for name in importlib.import_module(f"sparselms.{module}").__all__
     ]
     assert sparselms.__all__ == joined
@@ -970,6 +966,31 @@ def test_imports_do_not_load_numpy_random(package_env):
         [sys.executable, "-c", script], env=package_env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_harness_and_writers_load_on_first_use(package_env):
+    # the filters load with the package; a caller of step alone does not load
+    # the harness, the writers or the command
+    script = (
+        "import sys\n"
+        "import sparselms\n"
+        "from sparselms import step, AlgorithmConfig, FilterState, Variant, filter_core\n"
+        "names = ['signal_gen', 'config', 'experiment', 'emit', 'cli']\n"
+        "loaded = [m for m in ['sparselms.' + n for n in names] + ['numpy.random']\n"
+        "          if m in sys.modules]\n"
+        "assert loaded == [], loaded\n"
+        "assert sparselms.run_experiment.__module__ == 'sparselms.experiment'\n"
+        "assert 'sparselms.cli' not in sys.modules, 'sparselms.cli'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=package_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_an_unknown_name_fails_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'sparselms' has no attribute 'no_such_name'"):
+        sparselms.no_such_name
 
 
 TINY_RUN = ["--runs", "3", "--iterations", "40", "--sr", "1/16,4/16", "--plot", "--summary"]

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +124,12 @@ def test_run_trial_frozen_filter_is_constant():
 def test_run_trial_is_bit_deterministic():
     system, x, noise = trial_inputs(3)
     cfg = default_schedule()[(Variant.LP_LIKE_LLMS, 4)]
-    np.testing.assert_array_equal(
-        run_trial(system, x, noise, cfg, 200), run_trial(system, x, noise, cfg, 200)
-    )
+    trace = run_trial(system, x, noise, cfg, 200)
+    np.testing.assert_array_equal(trace, run_trial(system, x, noise, cfg, 200))
+    # and strided views of the same samples give the same bits
+    strided = [np.repeat(a, 2)[::2] for a in (system, x, noise)]
+    assert not any(a.flags.c_contiguous for a in strided)
+    np.testing.assert_array_equal(trace, run_trial(*strided, cfg, 200))
 
 
 @pytest.mark.parametrize("variant", list(Variant))
@@ -373,6 +377,21 @@ def test_run_experiment_builds_each_level_once(monkeypatch):
     assert calls == [1, 4, 8]
 
 
+def test_a_level_drops_its_realizations_before_the_tap_loop():
+    # xr and desired are copied out of the realization buffer, which is then
+    # freed, so the tap loop's product temporary does not add to it
+    config = small_config(runs=50, iterations=4000, sparsity_levels=(4,))
+    buffer = 50 * 2 * (4000 + 16) * 8  # every run's drive and noise, in float64 bytes
+    experiment._run_level(config, [], 4)  # leaves numpy's lazy imports out of the peak
+    tracemalloc.start()
+    try:
+        experiment._run_level(config, [], 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * buffer
+
+
 def test_missing_schedule_entry_fails_before_any_level_is_built(monkeypatch):
     # the missing entry is the request's last cell, variant-major
     calls = count_level_builds(monkeypatch)
@@ -584,6 +603,28 @@ PAPER_SCHEDULE = {
 def test_default_schedule_is_the_papers_table():
     expected = {key: AlgorithmConfig(key[0], *row) for key, row in PAPER_SCHEDULE.items()}
     assert default_schedule() == expected
+
+
+def test_a_copy_of_a_study_without_a_schedule_runs_its_own_levels():
+    # dataclasses.replace passed on the schedule built for the original's
+    # levels, and the copy failed in run_experiment with no entry for level 2
+    copy = dataclasses.replace(ExperimentConfig(runs=2, iterations=10), sparsity_levels=(2,))
+    direct = ExperimentConfig(sparsity_levels=(2,), runs=2, iterations=10)
+    assert copy.schedule == direct.schedule
+    curves, expected = run_experiment(copy), run_experiment(direct)
+    assert len(curves) == 4
+    for got, want in zip(curves, expected):
+        assert (got.variant, got.sparsity_level) == (want.variant, want.sparsity_level)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.run_tails.tobytes() == want.run_tails.tobytes()
+    # an entry edited in place is the copy's too
+    original = ExperimentConfig(runs=2, iterations=10)
+    original.schedule[Variant.LMS, 1] = AlgorithmConfig(Variant.LMS, mu=0.02)
+    assert dataclasses.replace(original, runs=3).schedule == original.schedule
+    # a schedule passed in, the default one included, is the copy's as given
+    given = ExperimentConfig(runs=2, iterations=10, schedule=default_schedule())
+    with pytest.raises(ConfigError, match=r"no entry for \(lms, 2/16\)"):
+        run_experiment(dataclasses.replace(given, sparsity_levels=(2,)))
 
 
 def test_a_study_without_a_schedule_runs_its_own_levels_as_a_document_does():

@@ -92,7 +92,7 @@ def scalar_trial(system, x, noise, cfg, iterations):
 
 
 def engine(systems, xs, noises, cfg, iterations):
-    return _run_batch(*_batch_signal(systems, xs, noises, iterations), cfg)
+    return _run_batch(*_batch_signal([systems, xs, noises], iterations), cfg)
 
 
 def numpy_trial(system, x, noise, cfg, iterations):
