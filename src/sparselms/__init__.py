@@ -9,31 +9,28 @@ bit for bit, a config-document parser and CSV/SVG emitters.
 The filters (:mod:`sparselms.filter_core` and :mod:`sparselms.errors`) load
 with the package.  The harness and the writers (``signal_gen``, ``config``,
 ``experiment`` and ``emit``) load on first use of one of their names, so a
-caller of ``step`` alone does not pay for them.  The ``sparselms`` command
-(:mod:`sparselms.cli`) is not imported by the package.
+caller of ``step`` alone does not pay for them.  ``__getattr__`` below resolves
+every public name; the package does not import :mod:`sparselms.cli`.
 """
 
 import importlib
 
 from . import errors, filter_core
-from .errors import *  # noqa: F403
-from .filter_core import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-# The harness and the writers, loaded by __getattr__ below.
-_ON_FIRST_USE = ("signal_gen", "config", "experiment", "emit")
 # The package's __all__ joins these modules' __all__ lists, in this order;
 # each module's list is the one list of its public names.
-_MODULES = ("errors", "filter_core", *_ON_FIRST_USE)
+_MODULES = ("errors", "filter_core", "signal_gen", "config", "experiment", "emit")
 
 
 def __getattr__(name):
-    """A module of ``_ON_FIRST_USE``, one of their public names, or ``__all__``,
-    loaded on first use (PEP 562); a public name is then cached here."""
-    if name in _ON_FIRST_USE:
+    """One of ``_MODULES``, their public names or ``__all__``, loaded on first use and
+    cached (PEP 562); no public name begins with ``_``, so such a name loads nothing."""
+    if name in _MODULES:
         return importlib.import_module(f".{name}", __name__)
-    modules = (importlib.import_module(f".{m}", __name__) for m in _MODULES)
+    owners = _MODULES if name == "__all__" or not name.startswith("_") else ()
+    modules = (importlib.import_module(f".{m}", __name__) for m in owners)
     if name == "__all__":
         value = [public for module in modules for public in module.__all__]
     else:
@@ -43,3 +40,9 @@ def __getattr__(name):
         value = getattr(owner, name)
     globals()[name] = value
     return value
+
+
+def __dir__():
+    """The package's own names and the public names of each module loaded so far."""
+    loaded = (globals()[m] for m in _MODULES if m in globals())
+    return sorted({*globals(), *(name for module in loaded for name in module.__all__)})

@@ -126,11 +126,18 @@ def as_tuple(name, value):
 
 
 def as_floats(name, value):
-    """``value`` as a float64 array; the ``not_numbers`` error if numpy cannot read it."""
+    """``value`` as a float64 array; the ``not_numbers`` error if numpy cannot read it,
+    or if ``value`` is or holds a ``None``, which numpy reads as nan."""
     try:
-        return np.asarray(value, dtype=float)
+        floats = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise not_numbers(name, value) from None
+    # a float64 array comes back as itself, so only an input that numpy converted
+    # into a nan is searched for None
+    if floats is not value and np.isnan(floats).any():
+        if any(item is None for item in np.asarray(value, dtype=object).flat):
+            raise not_numbers(name, value)
+    return floats
 
 
 def as_vector(name, value, taps=False):

@@ -278,13 +278,9 @@ def step(state, x, desired, cfg):
 
 
 def _step(state, x, desired, cfg):
-    if not (isinstance(state, FilterState) and isinstance(cfg, AlgorithmConfig)):
-        check_instance("state", state, FilterState)
-        check_instance("cfg", cfg, AlgorithmConfig)
-    try:  # free on Python 3.11+ unless it raises
-        x = np.asarray(x, dtype=float)
-    except (TypeError, ValueError):
-        raise not_numbers("regressor", x) from None
+    check_instance("state", state, FilterState)
+    check_instance("cfg", cfg, AlgorithmConfig)
+    x = as_floats("regressor", x)
     try:
         desired = float(desired)
     except (TypeError, ValueError):

@@ -44,8 +44,13 @@ class RngStream:
 
 
 def _gen(rng):
-    # Accept an RngStream or a bare numpy Generator.
-    return getattr(rng, "generator", rng)
+    """The numpy Generator of an RngStream, or ``rng`` itself if it is one; else a
+    ParameterError naming it."""
+    if isinstance(rng, RngStream):
+        return rng.generator
+    if isinstance(rng, np.random.Generator):
+        return rng
+    raise ParameterError(f"rng must be an RngStream or a numpy Generator, got {rng!r}")
 
 
 def _check_system(n_taps, n_nonzero):

@@ -988,6 +988,28 @@ def test_the_harness_and_writers_load_on_first_use(package_env):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_probing_the_package_loads_no_harness(package_env):
+    # inspect.unwrap probes __wrapped__; no public name begins with "_", so the
+    # probe fails without loading the harness or the writers; dir lists the
+    # names of the modules loaded so far
+    script = (
+        "import inspect, sys\n"
+        "import sparselms\n"
+        "assert not hasattr(sparselms, '__wrapped__')\n"
+        "assert inspect.unwrap(sparselms) is sparselms\n"
+        "listed = dir(sparselms)\n"
+        "assert {'step', 'FilterState', 'ParameterError', 'filter_core'} <= set(listed)\n"
+        "assert 'run_experiment' not in listed\n"
+        "names = ['signal_gen', 'config', 'experiment', 'emit']\n"
+        "loaded = [n for n in names if 'sparselms.' + n in sys.modules]\n"
+        "assert loaded == [], loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=package_env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_an_unknown_name_fails_naming_the_package():
     with pytest.raises(AttributeError, match="module 'sparselms' has no attribute 'no_such_name'"):
         sparselms.no_such_name

@@ -198,8 +198,8 @@ def test_no_module_sums_by_blas():
 
 # The pieces of the update rule, each with its one owner in filter_core: the
 # shrinkage's sgn(w), the left fold over taps, and the leak multiplier; and
-# the reading of arrays as floats, owned by errors.as_floats and by step()'s
-# one-sample path.
+# the reading of arrays as floats, owned by errors.as_floats alone, step()'s
+# regressor included.
 PIECES = {
     "sign": "sign", "accumulate": "fold", "cumsum": "fold", "leak_mult": "leak_mult",
     "asarray": "asarray",
@@ -208,7 +208,7 @@ RULE_OWNERS = {
     "sign": {"filter_core.py:_shrinkage"},
     "fold": {"filter_core.py:_left_fold"},
     "leak_mult": {"filter_core.py:_advance", "filter_core.py:AlgorithmConfig._operands"},
-    "asarray": {"errors.py:as_floats", "filter_core.py:_step"},
+    "asarray": {"errors.py:as_floats"},
 }
 
 

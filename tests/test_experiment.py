@@ -649,6 +649,7 @@ RAGGED = [[1.0], [1.0, 2.0]]
 SAMPLES = np.zeros(30)
 FLOATS = "must be an array of floats, got"
 REAL = "must be a real number, got"
+RNG = "must be an RngStream or a numpy Generator, got"
 NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing fails to open it
 
 
@@ -736,6 +737,16 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         (parse_config, (None,), "text must be a str, got None"),
         (parse_config, (123,), "text must be a str, got 123"),
         (parse_config, (b"runs = 2",), "text must be a str, got b'runs = 2'"),
+        # None, alone or as an item: numpy read it as nan before, which came out
+        # as an MSD of nan, a nan weight or a divergence
+        (msd, (None, None), f"true_w {FLOATS} None"),
+        (FilterState, ([None, 1.0],), f"weights {FLOATS} [None, 1.0]"),
+        (step, (FilterState.zeros(2), [None, 1.0], 1.0, LMS), f"regressor {FLOATS} [None, 1.0]"),
+        (regressor_at, ([None, 1.0], 1, 2), f"x {FLOATS} [None, 1.0]"),
+        # a random stream of the wrong type: an AttributeError on its first use before
+        (gen_sparse_system, (16, 1, 5), f"rng {RNG} 5"),
+        (gen_ar1_input, (10, 0.8, 1.0, "seed"), f"rng {RNG} 'seed'"),
+        (gen_gaussian_noise, (10, 1.0, None), f"rng {RNG} None"),
     ],
     ids=[
         "step-desired-str", "step-desired-none", "step-desired-list",
@@ -753,7 +764,9 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         "run_experiment-levels", "step-cfg", "step-state", "run_trial-cfg",
         "run_experiment-config", "steady_state-curve", "emit_csv-curves", "emit_plot-curves",
         "msd_curve-values", "msd_curve-run_tails", "parse_config-none", "parse_config-int",
-        "parse_config-bytes",
+        "parse_config-bytes", "msd-none", "FilterState-none", "step-regressor-none",
+        "regressor_at-none", "gen_sparse_system-rng", "gen_ar1_input-rng",
+        "gen_gaussian_noise-rng",
     ],
 )
 def test_non_numeric_input_fails_by_name(func, args, message):
