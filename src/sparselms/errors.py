@@ -73,11 +73,10 @@ def check_count(name, value, floats_each=1):
 
 
 def check_real(name, value, *, ge=None, gt=None, lt=None):
-    """``value`` as a float if it is a real number, numpy's included, with ``value >=
-    ge`` or ``value > gt`` (one of the two is given) and ``value < lt`` unless ``lt`` is
-    None; else a ParameterError naming it.  ``lt=math.inf`` asks for a finite value; nan
-    fails every bound, and a number beyond float64's range is read as +-inf."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """``value`` as a float if it ``_is_real``, with ``value >= ge`` or ``value > gt`` if
+    either is given and ``value < lt`` unless ``lt`` is None; else a ParameterError naming
+    it.  ``lt=math.inf`` asks for a finite value; nan fails every bound; beyond float64 is +-inf."""
+    if not _is_real(value):
         raise not_numbers(name, value, "a real number")
     try:
         real = float(value)
@@ -101,12 +100,12 @@ def check_instance(name, value, kind):
 
 def _out_of_range(name, value, low, high):
     """The error for ``value`` outside ``low`` and ``high``, each an ``(op, bound)``
-    pair; only the upper bound may be None, and an upper bound of inf reads as "finite"."""
+    pair; an upper bound of inf reads as "finite", and only it may go with no lower one."""
     (low_op, low), (high_op, high) = low, high
     if high is None:
         rule = f"be {low_op} {low}"
     elif high == math.inf:
-        rule = f"be finite and {low_op} {low}"
+        rule = "be finite" if low is None else f"be finite and {low_op} {low}"
     else:
         rule = f"satisfy {low} {low_op.replace('>', '<')} {name} {high_op} {high}"
     return ParameterError(f"{name} must {rule}, got {value}")
@@ -125,19 +124,24 @@ def as_tuple(name, value):
         raise not_numbers(name, value, "a sequence") from None
 
 
+def _is_real(value):
+    """Whether ``value`` is a real number, numpy's included: no bool, string or None."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def as_floats(name, value):
-    """``value`` as a float64 array; the ``not_numbers`` error if numpy cannot read it,
-    or if ``value`` is or holds a ``None``, which numpy reads as nan."""
+    """``value`` as a float64 array if numpy reads it as ints or floats, or as objects that
+    each ``_is_real``; else the ``not_numbers`` error, as for a str, bool, None, complex or
+    int beyond float64.  A float64 array is returned unread; ``[1.0, True]`` is 2 floats."""
     try:
-        floats = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise not_numbers(name, value) from None
-    # a float64 array comes back as itself, so only an input that numpy converted
-    # into a nan is searched for None
-    if floats is not value and np.isnan(floats).any():
-        if any(item is None for item in np.asarray(value, dtype=object).flat):
-            raise not_numbers(name, value)
-    return floats
+        read = np.asarray(value)
+        if read.dtype == float:
+            return read
+        if read.dtype.kind in "iuf" or (read.dtype == object and all(map(_is_real, read.flat))):
+            return read.astype(float)
+    except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float64
+        pass
+    raise not_numbers(name, value)
 
 
 def as_vector(name, value, taps=False):

@@ -81,9 +81,9 @@ class MsdCurve:
 
     def __post_init__(self):
         check_instance("variant", self.variant, Variant)
-        n_taps = check_integer("n_taps", self.n_taps, 1)
-        _config._check_level(self.sparsity_level, n_taps)
-        check_integer("runs", self.runs, 1)
+        self.n_taps = check_integer("n_taps", self.n_taps, 1)
+        self.sparsity_level = _config._check_level(self.sparsity_level, self.n_taps)
+        self.runs = check_integer("runs", self.runs, 1)
         self.values = as_floats("values", self.values)
         if self.values.ndim != 1 or self.values.shape[0] < 1:
             raise ParameterError("values must be a nonempty 1-d array")
@@ -196,7 +196,7 @@ def run_trial(system, x, noise, cfg, iterations):
     x = as_vector("x", x)
     noise = as_vector("noise", noise)
     check_instance("cfg", cfg, AlgorithmConfig)
-    check_integer("iterations", iterations, 1)
+    iterations = check_integer("iterations", iterations, 1)
     if x.shape[0] < iterations or noise.shape[0] < iterations:
         raise DimensionMismatchError(
             f"input and noise must provide at least {iterations} samples, "

@@ -38,7 +38,6 @@ from .errors import (
     check_instance,
     check_integer,
     check_real,
-    not_numbers,
     quietly,
 )
 
@@ -171,9 +170,8 @@ class FilterState:
     iteration: int = 0
 
     def __post_init__(self):
-        weights = as_vector("weights", self.weights, taps=True)
-        check_integer("iteration", self.iteration, 0)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", as_vector("weights", self.weights, taps=True))
+        object.__setattr__(self, "iteration", check_integer("iteration", self.iteration, 0))
 
     @classmethod
     def zeros(cls, n_taps):
@@ -281,15 +279,13 @@ def _step(state, x, desired, cfg):
     check_instance("state", state, FilterState)
     check_instance("cfg", cfg, AlgorithmConfig)
     x = as_floats("regressor", x)
-    try:
-        desired = float(desired)
-    except (TypeError, ValueError):
-        raise not_numbers("desired", desired, "a float") from None
+    if not isinstance(desired, float):  # numpy's float64 is one, made a float below
+        desired = check_real("desired", desired, lt=math.inf)
     w = state.weights
     if w.shape != x.shape:
         what, n, m = ("length", w.size, x.size) if x.ndim == 1 else ("shape", w.shape, x.shape)
         raise DimensionMismatchError(f"weights have {what} {n} but regressor has {what} {m}")
-    new_w, e = _advance(w, x, desired, cfg)
+    new_w, e = _advance(w, x, float(desired), cfg)
     # a sum is finite only if every term is, in any summation order; finite
     # weights can still overflow the sum, so only a non-finite sum needs the
     # elementwise check.  Summing Python floats is cheaper than a numpy reduce.

@@ -1,9 +1,11 @@
 import ast
 import dataclasses
 import functools
+import json
 import math
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -656,9 +658,9 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
 @pytest.mark.parametrize(
     "func, args, message",
     [
-        (step, (FilterState.zeros(2), [1.0], "abc", LMS), "desired must be a float, got 'abc'"),
-        (step, (FilterState.zeros(2), [1.0], None, LMS), "desired must be a float, got None"),
-        (step, (FilterState.zeros(2), [1.0], [1.0], LMS), "desired must be a float, got [1.0]"),
+        (step, (FilterState.zeros(2), [1.0], "abc", LMS), f"desired {REAL} 'abc'"),
+        (step, (FilterState.zeros(2), [1.0], None, LMS), f"desired {REAL} None"),
+        (step, (FilterState.zeros(2), [1.0], [1.0], LMS), f"desired {REAL} [1.0]"),
         (run_trial, ("abc", SAMPLES, SAMPLES, LMS, 20), f"system {FLOATS} 'abc'"),
         (run_trial, (RAGGED, SAMPLES, SAMPLES, LMS, 20), f"system {FLOATS} {RAGGED}"),
         (run_trial, ([1.0], "abc", SAMPLES, LMS, 20), f"x {FLOATS} 'abc'"),
@@ -747,6 +749,19 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         (gen_sparse_system, (16, 1, 5), f"rng {RNG} 5"),
         (gen_ar1_input, (10, 0.8, 1.0, "seed"), f"rng {RNG} 'seed'"),
         (gen_gaussian_noise, (10, 1.0, None), f"rng {RNG} None"),
+        # numbers by the rule of check_real alone: a numeric string and a bool were
+        # parsed or cast, a complex array lost its imaginary part with a ComplexWarning,
+        # and an int beyond float64 raised a bare OverflowError
+        (msd, (["1.5"], [0.0]), f"true_w {FLOATS} ['1.5']"),
+        (msd, (np.array([True]), [0.0]), f"true_w {FLOATS} array([ True])"),
+        (msd, (np.array([1 + 1j]), [0.0]), f"true_w {FLOATS} array([1.+1.j])"),
+        (msd, ([10**400], [0.0]), f"true_w {FLOATS} [{10**400}]"),
+        (FilterState, (np.array(["1.0"]),), f"weights {FLOATS} array(['1.0'], dtype='<U3')"),
+        (step, (FilterState.zeros(2), ["1", True], 1.0, LMS), f"regressor {FLOATS} ['1', True]"),
+        (step, (FilterState.zeros(2), [1.0, 1.0], "2", LMS), f"desired {REAL} '2'"),
+        (step, (FilterState.zeros(2), [1.0, 1.0], True, LMS), f"desired {REAL} True"),
+        (step, (FilterState.zeros(2), [1.0, 1.0], 10**400, LMS), "desired must be finite, got inf"),
+        (run_trial, ([1.0], SAMPLES, [10**400, 0.0], LMS, 2), f"noise {FLOATS} [{10**400}, 0.0]"),
     ],
     ids=[
         "step-desired-str", "step-desired-none", "step-desired-list",
@@ -766,15 +781,27 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         "msd_curve-values", "msd_curve-run_tails", "parse_config-none", "parse_config-int",
         "parse_config-bytes", "msd-none", "FilterState-none", "step-regressor-none",
         "regressor_at-none", "gen_sparse_system-rng", "gen_ar1_input-rng",
-        "gen_gaussian_noise-rng",
+        "gen_gaussian_noise-rng", "msd-str", "msd-bool", "msd-complex", "msd-overflow",
+        "FilterState-str", "step-regressor-str-bool", "step-desired-numeric-str",
+        "step-desired-bool", "step-desired-overflow", "run_trial-noise-overflow",
     ],
 )
 def test_non_numeric_input_fails_by_name(func, args, message):
     # each raised a bare ValueError or TypeError before (numpy's, float()'s, a
     # comparison's or iter()'s), or was taken as a number: a bool as 0 or 1
-    with pytest.raises(ParameterError) as exc:
-        func(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning is no named failure
+        with pytest.raises(ParameterError) as exc:
+            func(*args)
     assert str(exc.value) == message
+
+
+def test_ints_of_any_size_are_numbers():
+    # an int beyond int64 is an object to numpy, and each such item is a real number
+    assert msd([2**70], [0.0]) == 1.393796574908164e+42
+    assert msd([2**70, 1], [0, 1.0]) == float(2**70) ** 2
+    # a bool that numpy has already read as a float is one: the rule's one limit
+    assert msd([1.0, True], [0.0, 0.0]) == 2.0
 
 
 
@@ -803,6 +830,20 @@ def test_reals_are_read_as_floats():
         with pytest.raises(ParameterError) as exc:
             make()
         assert str(exc.value) == message
+
+
+def test_validated_integers_are_stored_as_ints():
+    # a numpy integer passed the checks and was kept as given, so every later
+    # iteration and a divergence's iteration were numpy integers, which json refuses
+    state = FilterState([0.0], np.int64(7))
+    after, _ = step(state, [1.0], 1.0, LMS)
+    with pytest.raises(DivergenceError) as exc:
+        step(state, [1e300], 1e300, LMS)
+    curve = MsdCurve(Variant.LMS, np.int64(1), np.int64(16), [1.0], np.int64(3))
+    numbers = [state.iteration, after.iteration, exc.value.iteration]
+    numbers += [curve.sparsity_level, curve.n_taps, curve.runs]
+    assert [type(n) for n in numbers] == [int] * 6
+    assert json.dumps(numbers) == "[7, 8, 7, 1, 16, 3]"
 
 
 @pytest.mark.parametrize(
