@@ -196,7 +196,7 @@ def run_trial(system, x, noise, cfg, iterations):
     x = as_vector("x", x)
     noise = as_vector("noise", noise)
     check_instance("cfg", cfg, AlgorithmConfig)
-    iterations = check_integer("iterations", iterations, 1)
+    check_integer("iterations", iterations, 1)
     if x.shape[0] < iterations or noise.shape[0] < iterations:
         raise DimensionMismatchError(
             f"input and noise must provide at least {iterations} samples, "

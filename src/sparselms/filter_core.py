@@ -279,13 +279,12 @@ def _step(state, x, desired, cfg):
     check_instance("state", state, FilterState)
     check_instance("cfg", cfg, AlgorithmConfig)
     x = as_floats("regressor", x)
-    if not isinstance(desired, float):  # numpy's float64 is one, made a float below
-        desired = check_real("desired", desired, lt=math.inf)
+    desired = check_real("desired", desired, lt=math.inf)
     w = state.weights
     if w.shape != x.shape:
         what, n, m = ("length", w.size, x.size) if x.ndim == 1 else ("shape", w.shape, x.shape)
         raise DimensionMismatchError(f"weights have {what} {n} but regressor has {what} {m}")
-    new_w, e = _advance(w, x, float(desired), cfg)
+    new_w, e = _advance(w, x, desired, cfg)
     # a sum is finite only if every term is, in any summation order; finite
     # weights can still overflow the sum, so only a non-finite sum needs the
     # elementwise check.  Summing Python floats is cheaper than a numpy reduce.

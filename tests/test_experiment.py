@@ -761,6 +761,14 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         (step, (FilterState.zeros(2), [1.0, 1.0], "2", LMS), f"desired {REAL} '2'"),
         (step, (FilterState.zeros(2), [1.0, 1.0], True, LMS), f"desired {REAL} True"),
         (step, (FilterState.zeros(2), [1.0, 1.0], 10**400, LMS), "desired must be finite, got inf"),
+        # a non-finite desired fails by name for every numeric type; a float nan was
+        # a DivergenceError before, and an np.float32 nan a ParameterError
+        (step, (FilterState.zeros(2), [1.0, 1.0], math.nan, LMS),
+         "desired must be finite, got nan"),
+        (step, (FilterState.zeros(2), [1.0, 1.0], np.float32("nan"), LMS),
+         "desired must be finite, got nan"),
+        # a 0-d array is no real number, as for every scalar parameter
+        (step, (FilterState.zeros(2), [1.0, 1.0], np.array(1.0), LMS), f"desired {REAL} array(1.)"),
         (run_trial, ([1.0], SAMPLES, [10**400, 0.0], LMS, 2), f"noise {FLOATS} [{10**400}, 0.0]"),
     ],
     ids=[
@@ -783,7 +791,8 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         "regressor_at-none", "gen_sparse_system-rng", "gen_ar1_input-rng",
         "gen_gaussian_noise-rng", "msd-str", "msd-bool", "msd-complex", "msd-overflow",
         "FilterState-str", "step-regressor-str-bool", "step-desired-numeric-str",
-        "step-desired-bool", "step-desired-overflow", "run_trial-noise-overflow",
+        "step-desired-bool", "step-desired-overflow", "step-desired-nan",
+        "step-desired-float32-nan", "step-desired-0d", "run_trial-noise-overflow",
     ],
 )
 def test_non_numeric_input_fails_by_name(func, args, message):
@@ -796,15 +805,6 @@ def test_non_numeric_input_fails_by_name(func, args, message):
     assert str(exc.value) == message
 
 
-def test_ints_of_any_size_are_numbers():
-    # an int beyond int64 is an object to numpy, and each such item is a real number
-    assert msd([2**70], [0.0]) == 1.393796574908164e+42
-    assert msd([2**70, 1], [0, 1.0]) == float(2**70) ** 2
-    # a bool that numpy has already read as a float is one: the rule's one limit
-    assert msd([1.0, True], [0.0, 0.0]) == 2.0
-
-
-
 def test_reals_are_read_as_floats():
     # a Python int of 2**64 passed the checks, then became an object array in numpy
     cfg = AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=2**64, gamma=0, rho_pl=np.float32(0.5))
@@ -815,6 +815,10 @@ def test_reals_are_read_as_floats():
     assert ExperimentConfig(noise_variance=1, ar_coeff=np.float64(0.5)).noise_variance == 1.0
     noise = gen_gaussian_noise(10, 2**64, RngStream(1))
     np.testing.assert_array_equal(noise, gen_gaussian_noise(10, float(2**64), RngStream(1)))
+    # an int beyond int64 is an object to numpy, and each such item is a real number
+    assert msd([2**70], [0.0]) == 1.393796574908164e+42
+    # a bool that numpy has already read as a float is one: the rule's one limit
+    assert msd([1.0, True], [0.0, 0.0]) == 2.0
     # a number beyond float64's range is infinite, and fails the "finite" rule by name
     for make, message in [
         (lambda: AlgorithmConfig(Variant.LMS, mu=10**400), "mu must be finite and >= 0, got inf"),
