@@ -37,11 +37,11 @@ overflows or is subnormal raises ``ParameterError``.
 
 import dataclasses
 import math
-import numbers
 
 from .errors import (
     ConfigError,
     ParameterError,
+    _is_integer,
     as_tuple,
     check_count,
     check_instance,
@@ -61,6 +61,14 @@ _LEVEL_PARAMS = {1: (0.003, 0.005), 4: (0.002, 0.005), 8: (0.0015, 0.005), 16: (
 def _check_level(level, n_taps):
     """``level`` as an int if it is an integer in ``1..n_taps``; else a ParameterError."""
     return check_integer("sparsity level", level, 1, n_taps)
+
+
+def _check_levels(name, levels, n_taps):
+    """The sequence ``levels``, its items read by ``_check_level``, as a tuple with no repeat."""
+    levels = tuple(_check_level(s, n_taps) for s in as_tuple(name, levels))
+    if len(set(levels)) != len(levels):
+        raise ParameterError(f"sparsity levels must not repeat, got {levels}")
+    return levels
 
 
 def _entry(variant, level, broadcast=None, section=None):
@@ -116,7 +124,7 @@ class ExperimentConfig:
         schedule = {} if self.schedule is None else self.schedule
         for key, entry in check_instance("schedule", schedule, dict).items():
             variant, level = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
-            if not (isinstance(variant, Variant) and isinstance(level, numbers.Integral)):
+            if not (isinstance(variant, Variant) and _is_integer(level)):
                 raise ParameterError(f"schedule key must be (Variant, integer level), got {key!r}")
             if not (isinstance(entry, AlgorithmConfig) and entry.variant is variant):
                 raise ParameterError(
@@ -130,11 +138,7 @@ class ExperimentConfig:
             self.runs, self.iterations + self.n_taps, "iterations + n_taps"
         )
         self.master_seed = check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
-        self.sparsity_levels = tuple(
-            _check_level(s, self.n_taps) for s in as_tuple("sparsity_levels", self.sparsity_levels)
-        )
-        if len(set(self.sparsity_levels)) != len(self.sparsity_levels):
-            raise ParameterError(f"sparsity levels must not repeat, got {self.sparsity_levels}")
+        self.sparsity_levels = _check_levels("sparsity_levels", self.sparsity_levels, self.n_taps)
         if self.schedule is None or type(self.schedule) is _BuiltSchedule:
             built = self.schedule or {}
             levels = dict.fromkeys((*_LEVEL_PARAMS, *self.sparsity_levels))

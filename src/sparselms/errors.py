@@ -56,7 +56,7 @@ def check_integer(name, value, low=None, high=None):
     """``value`` as an int if it is an integer, numpy's included but no bool, with
     ``low <= value`` and ``value <= high`` for each bound given (``high`` only with
     ``low``); else a ParameterError naming it."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     value = int(value)
     if (low is not None and value < low) or (high is not None and value > high):
@@ -117,11 +117,18 @@ def not_numbers(name, value, kind="an array of floats"):
 
 
 def as_tuple(name, value):
-    """``value``'s items as a tuple; the ``not_numbers`` error if it is not iterable."""
+    """``value``'s items as a tuple; the ``not_numbers`` error for a str, bytes or non-iterable."""
     try:
-        return tuple(value)
+        if not isinstance(value, (str, bytes)):
+            return tuple(value)
     except TypeError:
-        raise not_numbers(name, value, "a sequence") from None
+        pass
+    raise not_numbers(name, value, "a sequence")
+
+
+def _is_integer(value):
+    """Whether ``value`` is an integer, numpy's included: no bool."""
+    return isinstance(value, numbers.Integral) and type(value) is not bool
 
 
 def _is_real(value):

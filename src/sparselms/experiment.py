@@ -292,14 +292,11 @@ def run_experiment(config, variants=None, levels=None):
     check_instance("config", config, _config.ExperimentConfig)
     variants = tuple(Variant) if variants is None else as_tuple("variants", variants)
     for variant in variants:
-        if not isinstance(variant, Variant):
-            raise ParameterError(f"variants must be Variant members, got {variant!r}")
-    levels = config.sparsity_levels if levels is None else as_tuple("levels", levels)
-    levels = [_config._check_level(s, config.n_taps) for s in levels]
-    for what, names in (("variant", [v.value for v in variants]), ("sparsity level", levels)):
-        repeats = [name for i, name in enumerate(names) if name in names[:i]]
-        if repeats:
-            raise ParameterError(f"{what} {repeats[0]} is requested more than once")
+        check_instance("variants", variant, Variant)
+    if len(set(variants)) != len(variants):
+        raise ParameterError(f"variants must not repeat, got {tuple(v.value for v in variants)}")
+    levels = config.sparsity_levels if levels is None else levels
+    levels = _config._check_levels("levels", levels, config.n_taps)
     missing = [(v, s) for v in variants for s in levels if (v, s) not in config.schedule]
     if missing:
         v, s = missing[0]

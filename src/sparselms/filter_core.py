@@ -31,7 +31,6 @@ from .errors import (
     QUIET,
     DimensionMismatchError,
     DivergenceError,
-    ParameterError,
     as_floats,
     as_vector,
     check_count,
@@ -123,11 +122,10 @@ class AlgorithmConfig:
 
     def __post_init__(self):
         check_instance("variant", self.variant, Variant)
-        if not (self.leak_sign is None or isinstance(self.leak_sign, LeakSign)):
-            raise ParameterError(f"leak_sign must be a LeakSign or None, got {self.leak_sign!r}")
         if self.leak_sign is None:
             default = LeakSign.PLUS if self.variant in _READERS["leak_sign"] else LeakSign.MINUS
             object.__setattr__(self, "leak_sign", default)
+        check_instance("leak_sign", self.leak_sign, LeakSign)
         for name, bounds in _RANGES.items():
             if self.variant in _READERS[name]:
                 object.__setattr__(self, name, check_real(name, getattr(self, name), **bounds))

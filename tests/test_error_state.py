@@ -197,18 +197,21 @@ def test_no_module_sums_by_blas():
 
 
 # The pieces of the update rule, each with its one owner in filter_core: the
-# shrinkage's sgn(w), the left fold over taps, and the leak multiplier; and
-# the reading of arrays as floats, owned by errors.as_floats alone, step()'s
-# regressor included.
+# shrinkage's sgn(w), the left fold over taps, and the leak multiplier; the
+# reading of arrays as floats, owned by errors.as_floats alone, step()'s
+# regressor included; and what an integer and a real number are, owned by
+# errors._is_integer and errors._is_real alone.
 PIECES = {
     "sign": "sign", "accumulate": "fold", "cumsum": "fold", "leak_mult": "leak_mult",
-    "asarray": "asarray",
+    "asarray": "asarray", "Integral": "integer", "Real": "real",
 }
 RULE_OWNERS = {
     "sign": {"filter_core.py:_shrinkage"},
     "fold": {"filter_core.py:_left_fold"},
     "leak_mult": {"filter_core.py:_advance", "filter_core.py:AlgorithmConfig._operands"},
     "asarray": {"errors.py:as_floats"},
+    "integer": {"errors.py:_is_integer"},
+    "real": {"errors.py:_is_real"},
 }
 
 
@@ -227,8 +230,8 @@ def rule_pieces(node, owner="<module>"):
 
 def test_the_update_rule_has_one_owner_per_piece():
     # step() and the engine share filter_core._advance; a second copy of the
-    # shrinkage, the fold, the leak or the float reading anywhere in the
-    # package fails here
+    # shrinkage, the fold, the leak, the float reading or a number rule anywhere
+    # in the package fails here
     package = Path(sparselms.__file__).parent
     owners = {piece: set() for piece in RULE_OWNERS}
     strays = []

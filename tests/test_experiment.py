@@ -188,7 +188,7 @@ def test_run_trial_divergence_carries_iteration():
 
 def test_variants_must_be_variant_members():
     # a name is no Variant; it raised a bare AttributeError before
-    with pytest.raises(ParameterError, match="variants must be Variant members, got 'lms'"):
+    with pytest.raises(ParameterError, match="variants must be a Variant, got 'lms'"):
         run_experiment(small_config(), ["lms"], [1])
     with pytest.raises(ParameterError, match="got 'llms'"):
         run_experiment(small_config(), ["llms"], [1])[0]
@@ -435,12 +435,12 @@ def test_bad_level_fails_before_any_level_is_built(monkeypatch, levels, message)
 @pytest.mark.parametrize(
     "variants, levels, message",
     [
-        ([Variant.LMS, Variant.LMS], [1], "variant lms is requested more than once"),
-        ([Variant.LMS], [1, 1], "sparsity level 1 is requested more than once"),
-        (None, [4, 1, np.int64(4)], "sparsity level 4 is requested more than once"),
+        ([Variant.LMS, Variant.LMS], [1], "variants must not repeat, got ('lms', 'lms')"),
+        ([Variant.LMS], [1, 1], "sparsity levels must not repeat, got (1, 1)"),
+        (None, [4, 1, np.int64(4)], "sparsity levels must not repeat, got (4, 1, 4)"),
         (
             [Variant.LLMS, Variant.LMS, Variant.LLMS], [1, 1],
-            "variant llms is requested more than once",
+            "variants must not repeat, got ('llms', 'lms', 'llms')",
         ),
     ],
     ids=["variant", "level", "numpy-level", "variant-first"],
@@ -459,6 +459,11 @@ def test_numpy_integer_levels_are_ints():
     [curve] = run_experiment(config, [Variant.LMS], [np.int64(4)])
     assert type(curve.sparsity_level) is int
     assert curve.sparsity_level == 4
+    # a schedule passed in is kept as given: a numpy integer key serves its level
+    schedule = {(Variant.LMS, np.int64(1)): AlgorithmConfig(Variant.LMS)}
+    keyed = dataclasses.replace(config, sparsity_levels=(1,), schedule=schedule)
+    [curve] = run_experiment(keyed, [Variant.LMS])
+    assert curve.sparsity_level == 1
 
 
 def test_run_experiment_raises_first_diverging_cell_in_variant_major_order():
@@ -723,6 +728,13 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
             "variants must be a sequence, got <Variant.LMS: 'lms'>",
         ),
         (run_experiment, (small_config(), [Variant.LMS], 1), "levels must be a sequence, got 1"),
+        # a str or bytes is no sequence of values: its characters or bytes were read as items
+        (run_experiment, (small_config(), "lms"), "variants must be a sequence, got 'lms'"),
+        (emit_csv, ("ab", NO_FILE), "curves must be a sequence, got 'ab'"),
+        (
+            functools.partial(ExperimentConfig, sparsity_levels=b"\x01"), (),
+            "sparsity_levels must be a sequence, got b'\\x01'",
+        ),
         # arguments of the wrong type: an AttributeError on their first use before
         (step, (FilterState.zeros(2), [1.0], 1.0, "lms"),
          "cfg must be an AlgorithmConfig, got 'lms'"),
@@ -784,7 +796,8 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         "gen_gaussian_noise-variance", "gen_cell_realizations-noise_variance",
         "config-mu-bool", "experiment-ar_coeff-complex", "pnorm_like-p-array",
         "experiment-levels-none", "experiment-levels-int", "run_experiment-variants",
-        "run_experiment-levels", "step-cfg", "step-state", "run_trial-cfg",
+        "run_experiment-levels", "run_experiment-variants-str", "emit_csv-curves-str",
+        "experiment-levels-bytes", "step-cfg", "step-state", "run_trial-cfg",
         "run_experiment-config", "steady_state-curve", "emit_csv-curves", "emit_plot-curves",
         "msd_curve-values", "msd_curve-run_tails", "parse_config-none", "parse_config-int",
         "parse_config-bytes", "msd-none", "FilterState-none", "step-regressor-none",
@@ -1014,6 +1027,10 @@ def test_unset_window_is_min_of_500_and_iterations():
             "schedule key must be (Variant, integer level), got (<Variant.LMS: 'lms'>, 1.0)",
         ),
         (
+            {(Variant.LMS, True): AlgorithmConfig(Variant.LMS)},
+            "schedule key must be (Variant, integer level), got (<Variant.LMS: 'lms'>, True)",
+        ),
+        (
             {Variant.LMS: AlgorithmConfig(Variant.LMS)},
             "schedule key must be (Variant, integer level), got <Variant.LMS: 'lms'>",
         ),
@@ -1021,8 +1038,8 @@ def test_unset_window_is_min_of_500_and_iterations():
         ([], "schedule must be a dict, got []"),
     ],
     ids=[
-        "other-variant", "not-a-config", "name-key", "float-level", "bare-variant", "list",
-        "empty-list",
+        "other-variant", "not-a-config", "name-key", "float-level", "bool-level", "bare-variant",
+        "list", "empty-list",
     ],
 )
 def test_schedule_entries_are_checked(schedule, message):

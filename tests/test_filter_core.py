@@ -615,7 +615,7 @@ def test_config_rejects_a_name_for_the_variant():
 
 def test_config_rejects_a_name_for_the_leak_sign():
     # "plus" is no LeakSign: it gave the MINUS multiplier before
-    with pytest.raises(ParameterError, match="leak_sign must be a LeakSign or None, got 'plus'"):
+    with pytest.raises(ParameterError, match="leak_sign must be a LeakSign, got 'plus'"):
         AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.5, gamma=0.015, leak_sign="plus")
     cfg = AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.5, gamma=0.015)
     with pytest.raises(ParameterError, match="got 'minus'"):
