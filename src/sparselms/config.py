@@ -36,7 +36,6 @@ overflows or is subnormal raises ``ParameterError``.
 """
 
 import dataclasses
-import math
 
 from .errors import (
     ConfigError,
@@ -49,7 +48,7 @@ from .errors import (
     check_real,
 )
 from .filter_core import _READERS, AlgorithmConfig, LeakSign, Variant
-from .signal_gen import _check_cell_size
+from .signal_gen import _RANGES, _check_cell_size
 
 __all__ = ["ExperimentConfig", "default_schedule", "parse_config"]
 
@@ -137,7 +136,7 @@ class ExperimentConfig:
         self.runs, _ = _check_cell_size(
             self.runs, self.iterations + self.n_taps, "iterations + n_taps"
         )
-        self.master_seed = check_integer("master_seed", self.master_seed, 0, 2**64 - 1)
+        self.master_seed = check_integer("master_seed", self.master_seed, **_RANGES["seed"])
         self.sparsity_levels = _check_levels("sparsity_levels", self.sparsity_levels, self.n_taps)
         if self.schedule is None or type(self.schedule) is _BuiltSchedule:
             built = self.schedule or {}
@@ -147,9 +146,9 @@ class ExperimentConfig:
         if self.steady_state_window is None:
             self.steady_state_window = min(500, self.iterations)
         check_integer("steady_state_window", self.steady_state_window, 1, self.iterations)
-        self.ar_coeff = check_real("ar_coeff", self.ar_coeff, gt=-1, lt=1)
-        self.drive_variance = check_real("drive_variance", self.drive_variance, gt=0, lt=math.inf)
-        self.noise_variance = check_real("noise_variance", self.noise_variance, ge=0, lt=math.inf)
+        # the ranges of signal_gen's parameters, under this study's field names
+        for field, key in (("ar_coeff", "coeff"), ("drive_variance",) * 2, ("noise_variance",) * 2):
+            setattr(self, field, check_real(field, getattr(self, field), **_RANGES[key]))
 
 
 def _expects(kind, key):

@@ -42,6 +42,7 @@ from .errors import (
     as_floats,
     as_tuple,
     as_vector,
+    check_count,
     check_instance,
     check_integer,
     quietly,
@@ -67,9 +68,9 @@ _TRACE_ABORT = 1e6
 class MsdCurve:
     """Per-iteration mean squared deviation for one (variant, sparsity) cell.
 
-    ``run_tails`` holds each run's trailing trace window (runs x window), or
-    is ``None``, so that :func:`steady_state` can report a standard error
-    across runs.
+    ``run_tails`` holds each run's trailing trace window (runs x window, no wider
+    than ``values`` and, like it, nonnegative and finite), or is ``None``, so that
+    :func:`steady_state` can report a standard error across runs.
     """
 
     variant: Variant
@@ -81,21 +82,27 @@ class MsdCurve:
 
     def __post_init__(self):
         check_instance("variant", self.variant, Variant)
-        self.n_taps = check_integer("n_taps", self.n_taps, 1)
+        self.n_taps = check_count("n_taps", self.n_taps)
         self.sparsity_level = _config._check_level(self.sparsity_level, self.n_taps)
-        self.runs = check_integer("runs", self.runs, 1)
+        self.runs = check_count("runs", self.runs)
         self.values = as_floats("values", self.values)
         if self.values.ndim != 1 or self.values.shape[0] < 1:
             raise ParameterError("values must be a nonempty 1-d array")
         if not np.isfinite(self.values).all() or (self.values < 0).any():
             raise ParameterError("MSD values must be nonnegative and finite")
         if self.run_tails is not None:
-            self.run_tails = as_floats("run_tails", self.run_tails)
-            if self.run_tails.ndim != 2 or self.run_tails.shape[0] != self.runs:
+            self.run_tails = tails = as_floats("run_tails", self.run_tails)
+            if tails.ndim != 2 or tails.shape[0] != self.runs:
                 raise ParameterError(
-                    f"run_tails must be 2-d with runs={self.runs} rows, "
-                    f"got shape {self.run_tails.shape}"
+                    f"run_tails must be 2-d with runs={self.runs} rows, got shape {tails.shape}"
                 )
+            if tails.shape[1] > self.values.shape[0]:
+                raise ParameterError(
+                    f"run_tails must be at most len(values) = {self.values.shape[0]} columns "
+                    f"wide, got shape {tails.shape}"
+                )
+            if not np.isfinite(tails).all() or (tails < 0).any():
+                raise ParameterError("run_tails must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -196,7 +203,7 @@ def run_trial(system, x, noise, cfg, iterations):
     x = as_vector("x", x)
     noise = as_vector("noise", noise)
     check_instance("cfg", cfg, AlgorithmConfig)
-    check_integer("iterations", iterations, 1)
+    check_count("iterations", iterations)
     if x.shape[0] < iterations or noise.shape[0] < iterations:
         raise DimensionMismatchError(
             f"input and noise must provide at least {iterations} samples, "
@@ -301,6 +308,7 @@ def run_experiment(config, variants=None, levels=None):
     if missing:
         v, s = missing[0]
         raise ConfigError(f"schedule has no entry for ({v.value}, {s}/{config.n_taps})")
+    levels = levels if variants else ()  # else each level is drawn for no cell
     by_level = [_run_level(config, [config.schedule[v, s] for v in variants], s) for s in levels]
     outcomes = [outcome for row in zip(*by_level) for outcome in row]
     for outcome in outcomes:

@@ -191,7 +191,7 @@ def pnorm_like(w, p):
     Not a norm (the triangle inequality fails for p < 1); 0**p is taken
     as 0, so the zero vector scores 0.
     """
-    p = check_real("p", p, gt=0, lt=1)
+    p = check_real("p", p, **_RANGES["p"])
     w = as_floats("w", w)
     a = np.ravel(np.abs(w) ** p)  # a scalar is one tap
     return _left_fold(a) if a.size else 0.0
@@ -213,7 +213,7 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
         with ``epsilon_pl = 0`` an element is ``inf`` where ``p/|w_i|**(1-p)``
         is too large for a float.
     """
-    p = check_real("p", p, gt=0, lt=1)
+    p = check_real("p", p, **_RANGES["p"])
     epsilon_pl = check_real("epsilon_pl", epsilon_pl, ge=0)
     w = as_floats("w", w)
     return np.where(w == 0.0, 0.0, _shrinkage(w, p, 1.0 - p, epsilon_pl))

@@ -24,6 +24,14 @@ __all__ = [
     "regressor_at",
 ]
 
+# The range of each parameter of the signal model, which ExperimentConfig also reads.
+_RANGES = {
+    "seed": {"low": 0, "high": 2**64 - 1},
+    "coeff": {"gt": -1, "lt": 1},  # the process is non-stationary otherwise
+    "drive_variance": {"gt": 0, "lt": math.inf},
+    "noise_variance": {"ge": 0, "lt": math.inf},
+}
+
 
 class RngStream:
     """One reproducible random stream, typically one per Monte-Carlo run.
@@ -34,7 +42,7 @@ class RngStream:
     """
 
     def __init__(self, seed, stream_id=0):
-        self.seed = check_integer("seed", seed, 0, 2**64 - 1)
+        self.seed = check_integer("seed", seed, **_RANGES["seed"])
         self.stream_id = check_integer("stream_id", stream_id, 0)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.default_rng(ss)
@@ -80,8 +88,8 @@ def gen_sparse_system(n_taps, n_nonzero, rng):
 def _check_ar1(length, coeff, drive_variance):
     """``(length, coeff, drive_variance)`` as an int and two floats; else a ParameterError."""
     length = check_count("length", length)
-    coeff = check_real("coeff", coeff, gt=-1, lt=1)  # the process is non-stationary otherwise
-    return length, coeff, check_real("drive_variance", drive_variance, gt=0, lt=math.inf)
+    coeff = check_real("coeff", coeff, **_RANGES["coeff"])
+    return length, coeff, check_real("drive_variance", drive_variance, **_RANGES["drive_variance"])
 
 
 @quietly
@@ -122,7 +130,7 @@ def gen_ar1_input(length, coeff, drive_variance, rng):
 def gen_gaussian_noise(length, variance, rng):
     """I.i.d. zero-mean Gaussian samples of the given variance."""
     length = check_count("length", length)
-    variance = check_real("variance", variance, ge=0, lt=math.inf)
+    variance = check_real("variance", variance, **_RANGES["noise_variance"])
     return _gen(rng).standard_normal(length) * np.sqrt(variance)
 
 
@@ -157,10 +165,11 @@ def gen_cell_realizations(
     draws of ``length`` (the sampler consumes its stream sequentially).
     All drives are filtered together.
     """
+    check_integer("master_seed", master_seed, **_RANGES["seed"])
     _check_system(n_taps, n_nonzero)
     runs, length = _check_cell_size(runs, length)
     length, coeff, drive_variance = _check_ar1(length, coeff, drive_variance)
-    noise_variance = check_real("noise_variance", noise_variance, ge=0, lt=math.inf)
+    noise_variance = check_real("noise_variance", noise_variance, **_RANGES["noise_variance"])
     positions = np.empty((runs, n_nonzero), dtype=np.intp)
     signs = np.empty((runs, n_nonzero))
     z = np.empty((runs, 2 * length))

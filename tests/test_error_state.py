@@ -200,7 +200,10 @@ def test_no_module_sums_by_blas():
 # shrinkage's sgn(w), the left fold over taps, and the leak multiplier; the
 # reading of arrays as floats, owned by errors.as_floats alone, step()'s
 # regressor included; and what an integer and a real number are, owned by
-# errors._is_integer and errors._is_real alone.
+# errors._is_integer and errors._is_real alone. A range is written once, in
+# filter_core._RANGES or signal_gen._RANGES, as dict keys, which the scan does not
+# see; the only ge=, gt= or lt= keywords left bound a value with one reader: step()'s
+# desired, and the shrinkage term's epsilon_pl, which may be 0 there alone.
 PIECES = {
     "sign": "sign", "accumulate": "fold", "cumsum": "fold", "leak_mult": "leak_mult",
     "asarray": "asarray", "Integral": "integer", "Real": "real",
@@ -212,6 +215,7 @@ RULE_OWNERS = {
     "asarray": {"errors.py:as_floats"},
     "integer": {"errors.py:_is_integer"},
     "real": {"errors.py:_is_real"},
+    "range": {"filter_core.py:_step", "filter_core.py:pnorm_like_gradient_term"},
 }
 
 
@@ -225,13 +229,15 @@ def rule_pieces(node, owner="<module>"):
         name = child.attr if isinstance(child, ast.Attribute) else getattr(child, "id", None)
         if name in PIECES:
             yield PIECES[name], inner, child.lineno
+        if isinstance(child, ast.keyword) and child.arg in ("ge", "gt", "lt"):
+            yield "range", inner, child.lineno
         yield from rule_pieces(child, inner)
 
 
 def test_the_update_rule_has_one_owner_per_piece():
     # step() and the engine share filter_core._advance; a second copy of the
-    # shrinkage, the fold, the leak, the float reading or a number rule anywhere
-    # in the package fails here
+    # shrinkage, the fold, the leak, the float reading, a number rule or a range's
+    # bounds anywhere in the package fails here
     package = Path(sparselms.__file__).parent
     owners = {piece: set() for piece in RULE_OWNERS}
     strays = []

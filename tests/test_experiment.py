@@ -379,6 +379,13 @@ def test_run_experiment_builds_each_level_once(monkeypatch):
     assert calls == [1, 4, 8]
 
 
+def test_a_request_of_no_cell_builds_no_level(monkeypatch):
+    # every level of the study was drawn for zero cells, a second's work thrown away
+    calls = count_level_builds(monkeypatch)
+    assert run_experiment(ExperimentConfig(), variants=[]) == []
+    assert calls == []
+
+
 def test_a_level_drops_its_realizations_before_the_tap_loop():
     # xr and desired are copied out of the realization buffer, which is then
     # freed, so the tap loop's product temporary does not add to it
@@ -782,6 +789,19 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         # a 0-d array is no real number, as for every scalar parameter
         (step, (FilterState.zeros(2), [1.0, 1.0], np.array(1.0), LMS), f"desired {REAL} array(1.)"),
         (run_trial, ([1.0], SAMPLES, [10**400, 0.0], LMS, 2), f"noise {FLOATS} [{10**400}, 0.0]"),
+        # the master seed is read by its own name, once: the first run's stream named it seed
+        (
+            gen_cell_realizations, (-1, 2, 16, 1, 10, 0.8, 1e-3, 1e-2),
+            f"master_seed must satisfy 0 <= master_seed <= {2**64 - 1}, got -1",
+        ),
+        (
+            gen_cell_realizations, (2**64, 2, 16, 1, 10, 0.8, 1e-3, 1e-2),
+            f"master_seed must satisfy 0 <= master_seed <= {2**64 - 1}, got {2**64}",
+        ),
+        (
+            gen_cell_realizations, (True, 2, 16, 1, 10, 0.8, 1e-3, 1e-2),
+            "master_seed must be an integer, got True",
+        ),
     ],
     ids=[
         "step-desired-str", "step-desired-none", "step-desired-list",
@@ -806,6 +826,8 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
         "FilterState-str", "step-regressor-str-bool", "step-desired-numeric-str",
         "step-desired-bool", "step-desired-overflow", "step-desired-nan",
         "step-desired-float32-nan", "step-desired-0d", "run_trial-noise-overflow",
+        "gen_cell_realizations-master_seed-negative", "gen_cell_realizations-master_seed-2**64",
+        "gen_cell_realizations-master_seed-bool",
     ],
 )
 def test_non_numeric_input_fails_by_name(func, args, message):
@@ -890,9 +912,23 @@ def test_validated_integers_are_stored_as_ints():
             lambda: gen_cell_realizations(1, 1, 16, 1, 2**59, 0.8, 1.0, 1.0),
             f"length must satisfy 1 <= length <= {(2**60 - 1) // 2}",
         ),
+        # a curve's and a trial's counts were integers >= 1 alone
+        (
+            lambda: MsdCurve(Variant.LMS, 1, 2**70, [1.0], 1),
+            f"n_taps must satisfy 1 <= n_taps <= {2**60 - 1}",
+        ),
+        (
+            lambda: MsdCurve(Variant.LMS, 1, 16, [1.0], 2**70),
+            f"runs must satisfy 1 <= runs <= {2**60 - 1}",
+        ),
+        (
+            lambda: run_trial([1.0], SAMPLES, SAMPLES, LMS, 2**70),
+            f"iterations must satisfy 1 <= iterations <= {2**60 - 1}",
+        ),
     ],
     ids=["zeros", "gen_sparse_system", "gen_cell_realizations-taps", "config-runs",
-         "config-buffer", "gen_cell_realizations-buffer", "gen_cell_realizations-length"],
+         "config-buffer", "gen_cell_realizations-buffer", "gen_cell_realizations-length",
+         "msd_curve-taps", "msd_curve-runs", "run_trial-iterations"],
 )
 def test_count_too_large_for_numpy_fails_by_name(func, message):
     # numpy refuses each size before it allocates; its bare ValueError or
@@ -900,6 +936,63 @@ def test_count_too_large_for_numpy_fails_by_name(func, message):
     with pytest.raises(ParameterError) as exc:
         func()
     assert str(exc.value).startswith(f"{message}, got ")
+
+
+CELL = {
+    "master_seed": 1, "runs": 2, "n_taps": 4, "n_nonzero": 1, "length": 10, "coeff": 0.8,
+    "drive_variance": 1e-3, "noise_variance": 1e-2,
+}
+
+
+def study_reads(field):
+    return field, lambda value: small_config(**{field: value})
+
+
+def cell_reads(name):
+    return name, lambda value: gen_cell_realizations(**{**CELL, name: value})
+
+
+@pytest.mark.parametrize(
+    "inside, edges, readers",
+    [
+        (0.5, [0, 1, math.nan], [
+            ("p", lambda p: AlgorithmConfig(Variant.LP_LIKE_LMS, p=p)),
+            ("p", lambda p: pnorm_like([1.0], p)),
+            ("p", lambda p: pnorm_like_gradient_term([1.0], p, 1.0)),
+        ]),
+        (-0.99, [-1, 1], [
+            study_reads("ar_coeff"),
+            ("coeff", lambda a: gen_ar1_input(10, a, 1e-3, RngStream(1))),
+            cell_reads("coeff"),
+        ]),
+        (1e-300, [0, math.inf], [
+            study_reads("drive_variance"),
+            ("drive_variance", lambda v: gen_ar1_input(10, 0.8, v, RngStream(1))),
+            cell_reads("drive_variance"),
+        ]),
+        (0, [-1e-300, math.inf], [
+            study_reads("noise_variance"),
+            ("variance", lambda v: gen_gaussian_noise(10, v, RngStream(1))),
+            cell_reads("noise_variance"),
+        ]),
+        (2**64 - 1, [-1, 2**64], [
+            study_reads("master_seed"), ("seed", RngStream), cell_reads("master_seed"),
+        ]),
+    ],
+    ids=["p", "coeff", "drive_variance", "noise_variance", "seed"],
+)
+def test_every_reader_of_a_shared_range_refuses_the_same_edges(inside, edges, readers):
+    # each range is written once, in filter_core._RANGES or signal_gen._RANGES; every
+    # reader refuses its edges in one wording, under the reader's own name
+    for value in edges:
+        rules = set()
+        for name, read in readers:
+            with pytest.raises(ParameterError) as exc:
+                read(value)
+            rules.add(re.sub(rf"\b{name}\b", "x", str(exc.value)))
+        assert len(rules) == 1, rules
+    for _, read in readers:
+        read(inside)
 
 
 def test_config_bounds_a_levels_buffer():
@@ -1057,6 +1150,20 @@ def test_msd_curve_run_tails_have_one_row_per_run():
     curve = MsdCurve(Variant.LMS, 1, 16, values, runs=3, run_tails=[[1.0], [2.0], [3.0]])
     assert curve.run_tails.shape == (3, 1)
     assert MsdCurve(Variant.LMS, 1, 16, values, runs=3).run_tails is None
+    # tails read by the rule of values: each was taken, and steady_state reported a
+    # stderr from them
+    short = [1.0, 2.0]
+    for tails, message in [
+        ([[1, 1, 1], [1, 1, 1]], "run_tails must be at most len(values) = 2 columns wide, "
+                                 "got shape (2, 3)"),
+        ([[1, 1], [1, -5]], "run_tails must be nonnegative and finite"),
+        ([[math.nan, 1], [1, 1]], "run_tails must be nonnegative and finite"),
+        ([[math.inf, 1], [1, 1]], "run_tails must be nonnegative and finite"),
+    ]:
+        with pytest.raises(ParameterError) as exc:
+            MsdCurve(Variant.LMS, 1, 16, short, 2, tails)
+        assert str(exc.value) == message
+    assert MsdCurve(Variant.LMS, 1, 16, short, 2, [[0, 1], [1, 1]]).run_tails.shape == (2, 2)
 
 
 @pytest.mark.parametrize(
