@@ -1,38 +1,16 @@
 """The study: :class:`ExperimentConfig`, :func:`default_schedule`, and the
-config documents that :func:`parse_config` reads into them.
+config documents that :func:`parse_config` reads into them, in the language
+that README's "Configuration files" section specifies.
 
 The default study is the paper's grid: all four rules at each level of
 ``_LEVEL_PARAMS``, which also holds each level's ``rho_pl`` and ``gamma``.
+Every schedule entry is ``_entry``'s: its level's ``_LEVEL_PARAMS``, then the
+global keys its variant reads, then its section's keys.
 A study built without a schedule has ``_entry``'s entry, as a document's, for
 every rule at those levels and at its own; so does a copy of it
 (``dataclasses.replace``) at the copy's levels, where it keeps the entries of
 its original, edited in place or not.  A schedule passed in is kept as given.
 :mod:`sparselms.experiment` runs a study's cells.
-
-Documents are flat ``key = value`` text with ``#`` comments; a
-``[variant.level]`` section header scopes hyperparameter keys to one
-schedule entry, e.g.::
-
-    runs = 200
-    master_seed = 1234
-
-    [lp_like_llms.16]
-    gamma = 0.0005
-    rho_pl = 0.0001
-
-Hyperparameter keys at global scope (``mu``, ``gamma``, ``rho_pl``,
-``epsilon_pl``, ``p``, ``leak_sign``) broadcast to every schedule entry of
-the variants they apply to: an entry takes its level's ``_LEVEL_PARAMS``, then
-the global keys it reads, then its section's keys, even those its variant ignores.
-A key may appear once per scope and a section once per document.
-``tests/test_cli.py`` pins every message and stores a digest of seeded outcomes.
-
-An unset ``steady_state_window`` is ``min(500, iterations)``; a set one must
-satisfy ``1 <= window <= iterations``, whether ``iterations`` comes from the
-document or from ``--iterations``.  ``drive_variance`` scales the AR(1)
-drive, but each input is then rescaled to unit sample variance, so the key
-changes the results only by rounding; a value whose filtered input variance
-overflows or is subnormal raises ``ParameterError``.
 """
 
 import dataclasses
@@ -93,8 +71,7 @@ def default_schedule():
     """Hyperparameters for every (variant, nonzero-count) cell of the default study.
 
     Each variant takes the ``rho_pl`` and ``gamma`` of ``_LEVEL_PARAMS`` that
-    it reads; every other field is ``AlgorithmConfig``'s default (mu=0.015,
-    and p=0.5, epsilon_pl=10 for the shrinkage variants).
+    it reads; every other field is the default of :class:`AlgorithmConfig`.
     """
     return dict(ExperimentConfig().schedule)
 

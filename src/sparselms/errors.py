@@ -1,4 +1,11 @@
-"""Exception types, every parameter check, and the numeric error state of the package."""
+"""Exception types, every parameter check, and the numeric error state of the package.
+
+Each input rule has one owner: ``_is_real`` says what a number is and ``_is_integer``
+what an integer is; ``check_real`` and ``check_integer`` read a scalar by them and word
+every range error; ``check_count`` reads a count, ``as_floats`` an array of numbers,
+``as_tuple`` a sequence and ``check_instance`` a type.  Each range is written once, in
+``filter_core._RANGES`` and ``signal_gen._RANGES``.
+"""
 
 import contextvars
 import functools
@@ -167,7 +174,9 @@ def as_vector(name, value, taps=False):
 # (DivergenceError, the AR(1) ParameterError, or inf), underflow is ignored,
 # divide keeps numpy's default, and a caller's np.errstate or np.seterr does not
 # reach inside.  Each call enters its own copy, in O(1), as two threads may not
-# enter one context at once.
+# enter one context at once.  numpy keeps its error state in a context variable
+# only since 2.0, hence numpy >= 2.0: 1.x kept it per thread, so building QUIET at
+# import would change the importing thread's own error state.
 QUIET = contextvars.Context()
 QUIET.run(np.seterr, over="ignore", invalid="ignore", under="ignore")
 

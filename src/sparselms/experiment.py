@@ -21,11 +21,10 @@ that :func:`~sparselms.filter_core.step` makes, and every sum over taps is
 a run's trace is bit-identical in any batch and to a loop of steps.  Traces
 and the finite check come from the weights stored over ``_BLOCK`` iterations.
 
-Reproducibility contract: a cell's output is a pure function of
-(ExperimentConfig, variant, sparsity level).  Runs use per-run RNG streams
-and are reduced in run-index order, so results are bit-identical from one
-invocation to the next, and all variants see identical realizations at a
-given run index (paired comparisons).
+So the engine keeps README's reproducibility contract: run r draws from
+``RngStream(master_seed, r)`` whichever cells are requested, and traces are
+reduced in run-index order, so a cell's output is a pure function of
+(ExperimentConfig, variant, sparsity level).
 """
 
 from dataclasses import dataclass
@@ -127,7 +126,8 @@ def msd(true_w, est_w):
     return _left_fold(d * d) if d.size else 0.0
 
 
-# Iterations per block of stored weights; blocks of 8 and 16 raised a 200-run cell's peak RSS.
+# Iterations per block of stored weights; blocks of 8 and 16 raised a 200-run
+# cell's peak RSS by 0.1 and 1 MB.
 _BLOCK = 4
 
 
@@ -137,7 +137,8 @@ def _batch_signal(realizations, iterations):
 
     ``realizations`` is a list ``[systems, xs, noises]``, which is emptied once
     they are copied, so that the tap loop does not hold a level's realization
-    buffer.  ``xr`` is the input reversed in time, then ``taps - 1`` zeros:
+    buffer: a level's generation and layout peak at 2 such buffers (a test
+    checks 2.1).  ``xr`` is the input reversed in time, then ``taps - 1`` zeros:
     iteration k's regressor is its rows ``iterations-1-k`` onward.
     ``desired[k]`` is ``noise[k] + s_0*x[k] + s_1*x[k-1] + ...``, summed in
     that order.

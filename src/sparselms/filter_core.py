@@ -162,7 +162,11 @@ class AlgorithmConfig:
 
 @dataclass(frozen=True)
 class FilterState:
-    """Current weight estimate plus the number of completed updates."""
+    """Current weight estimate plus the number of completed updates.
+
+    ``weights`` is 1-d with at least one tap and ``iteration`` an integer >= 0,
+    checked on construction, by ``dataclasses.replace`` too.
+    """
 
     weights: np.ndarray
     iteration: int = 0
@@ -233,8 +237,8 @@ def _shrinkage(w, p, one_minus_p, epsilon_pl):
 
 def _left_fold(a):
     """Sum in tap order, by ``add.accumulate`` or by numpy's ``sum(axis=-2)`` for two runs
-    or more, never by BLAS, whose order depends on the CPU: a (taps,) array to a float,
-    a (taps x runs) or (block x taps x runs) array over its axis -2."""
+    or more, never by BLAS or a 1-d sum, whose order depends on the CPU or the length: a
+    (taps,) array to a float, a (taps x runs) or (block x taps x runs) array over its axis -2."""
     if a.ndim == 1:
         return float(np.add.accumulate(a)[-1])
     if a.shape[-1] > 1:

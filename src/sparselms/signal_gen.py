@@ -163,7 +163,8 @@ def gen_cell_realizations(
     the two halves of one (runs x 2*length) buffer.  A run's drive and
     noise come from one draw of ``2*length`` normals, which equals two
     draws of ``length`` (the sampler consumes its stream sequentially).
-    All drives are filtered together.
+    All drives are filtered together, in place, so generation peaks at 1.5
+    times the buffer (a test checks 1.6).
     """
     check_integer("master_seed", master_seed, **_RANGES["seed"])
     _check_system(n_taps, n_nonzero)

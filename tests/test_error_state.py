@@ -4,6 +4,12 @@
 caller's ``np.errstate`` or ``np.seterr`` (or a parent process's) changes
 neither a run's bytes nor how it fails, and leaves the caller's state as
 it was.
+
+Two ``ast`` scans read the package's source.  One fails if BLAS sums
+anything.  The other fails if a piece of the update rule or of an input rule
+appears outside its one owner in ``RULE_OWNERS``: the shrinkage's sign, the
+fold over taps, the leak multiplier, ``np.asarray``, what an integer is, what
+a real number is, and a range's ``ge=``, ``gt=`` or ``lt=`` bound.
 """
 
 import ast

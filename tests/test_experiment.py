@@ -1,3 +1,14 @@
+"""The harness: ``msd``, ``run_trial``, ``run_experiment``, ``steady_state``,
+``MsdCurve`` and the study ``ExperimentConfig`` describes.
+
+A cell's runs equal each run alone and a loop of ``step``; cells do not
+depend on which others run; a level is built once and frees its
+realizations before the tap loop; divergence is reported at its first cell,
+run and iteration; a request is checked whole before any level is built; and
+bad input fails with a ``ParameterError`` that names it
+(``test_non_numeric_input_fails_by_name``).
+"""
+
 import ast
 import dataclasses
 import functools

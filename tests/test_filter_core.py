@@ -1,3 +1,19 @@
+"""The update rules through ``step``: worked examples, gradients, degenerate
+parameters, the state ``step`` returns, its errors for malformed input, and
+every regressor form stepping to the same bits.
+
+Portability: ``LOOP_SHA256`` and ``SQRT_LOOP_SHA256`` store the digest of a
+2000-step loop per rule.  The three p = 0.3 shrinkage loops store one digest
+per numpy power loop, AVX-512 and the other x86-64 loops (SSE and AVX2 give
+the same bits), and ``POWER_CANARY`` picks the set.  A test runs the stored
+loops and a small study in child processes under
+``OPENBLAS_CORETYPE=Haswell`` (on a CPU with AVX2) and with numpy's AVX-512
+targets off (``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``),
+and requires the study's bytes of an in-process run and each loop's stored
+digest for the power loop the child runs.  Tier-1 passes with those targets
+off as with them on.
+"""
+
 import contextlib
 import copy
 import dataclasses

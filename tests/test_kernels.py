@@ -4,7 +4,8 @@
 scalar at a time).  It shares no code with the package, so agreement with it
 checks the engine's arithmetic, not just its consistency with itself.  The
 engine and ``filter_core.step`` share one update, ``filter_core._advance``,
-and both sum over taps left to right, so all three agree bit for bit.
+and both sum over taps left to right, so all three agree bit for bit, and
+on the divergence iteration, over drawn parameters and batch widths.
 """
 
 import math

@@ -1,3 +1,8 @@
+"""The seeded generators: stored AR(1) values, each row of
+``gen_cell_realizations`` against the single-run generators, stored digests of
+the protocol's cells, and the cell builder's peak memory.
+"""
+
 import hashlib
 import subprocess
 import sys
