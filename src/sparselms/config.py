@@ -215,6 +215,12 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
     out-of-range values raise with the offending key or constraint named.
     ``master_seed``, ``runs`` and ``iterations``, unless ``None``, win over
     the document's keys of those names, as the command-line flags do.
+
+    The document's schedule counts as passed in.  So a ``dataclasses.replace``
+    copy of the result at levels the document did not name fails by name in
+    ``run_experiment`` ("schedule has no entry"), while a copy of a study that
+    ``ExperimentConfig`` built builds its own schedule at its levels, though
+    ``parse_config("") == ExperimentConfig()``.
     """
     global_kv, sections = _parse_document(check_instance("text", text, str))
     fields, broadcast = {}, {}

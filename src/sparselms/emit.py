@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, as_tuple, check_instance
+from .errors import ParameterError, as_tuple, check_instance, quietly
 from .experiment import MsdCurve
 from .filter_core import Variant
 
@@ -49,6 +49,7 @@ def emit_csv(curves, out):
     return out
 
 
+@quietly
 def emit_plot(curves, out, db_scale=False):
     """Write a self-contained SVG: one subplot per sparsity level.
 

@@ -147,13 +147,15 @@ def _is_real(value):
 def as_floats(name, value):
     """``value`` as a float64 array if numpy reads it as ints or floats, or as objects that
     each ``_is_real``; else the ``not_numbers`` error, as for a str, bool, None, complex or
-    int beyond float64.  A float64 array is returned unread; ``[1.0, True]`` is 2 floats."""
+    int beyond float64.  A float64 array is returned unread; ``[1.0, True]`` is 2 floats.
+    Other arrays are cast in ``QUIET``, so a wider float beyond float64 reads as +-inf,
+    as ``check_real`` reads such a scalar."""
     try:
         read = np.asarray(value)
         if read.dtype == float:
             return read
         if read.dtype.kind in "iuf" or (read.dtype == object and all(map(_is_real, read.flat))):
-            return read.astype(float)
+            return QUIET.copy().run(read.astype, float)
     except (TypeError, ValueError, OverflowError):  # ragged, or an int beyond float64
         pass
     raise not_numbers(name, value)
@@ -169,14 +171,14 @@ def as_vector(name, value, taps=False):
     return value
 
 
-# The floating-point error state of step(), the engine, the shrinkage term and
-# the AR(1) rescale: overflow and invalid values are reported by value
-# (DivergenceError, the AR(1) ParameterError, or inf), underflow is ignored,
-# divide keeps numpy's default, and a caller's np.errstate or np.seterr does not
-# reach inside.  Each call enters its own copy, in O(1), as two threads may not
-# enter one context at once.  numpy keeps its error state in a context variable
-# only since 2.0, hence numpy >= 2.0: 1.x kept it per thread, so building QUIET at
-# import would change the importing thread's own error state.
+# The floating-point error state of every public function that computes with the
+# numbers it is given, and of as_floats' cast: overflow and invalid values are
+# reported by value (DivergenceError, the AR(1) ParameterError, inf or nan),
+# underflow is ignored, divide keeps numpy's default, and a caller's np.errstate
+# or np.seterr does not reach inside.  Each call enters its own copy, in O(1), as
+# two threads may not enter one context at once.  numpy keeps its error state in a
+# context variable only since 2.0, hence numpy >= 2.0: 1.x kept it per thread, so
+# building QUIET at import would change the importing thread's own error state.
 QUIET = contextvars.Context()
 QUIET.run(np.seterr, over="ignore", invalid="ignore", under="ignore")
 

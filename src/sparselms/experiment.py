@@ -114,6 +114,7 @@ class SteadyStateSummary:
     stderr: float
 
 
+@quietly
 def msd(true_w, est_w):
     """Squared deviation ``sum((true_w - est_w)**2)`` between weight vectors."""
     true_w = as_floats("true_w", true_w)
@@ -318,6 +319,7 @@ def run_experiment(config, variants=None, levels=None):
     return outcomes
 
 
+@quietly
 def steady_state(curve, window):
     """Mean of the trailing ``window`` curve values, with across-run stderr.
 

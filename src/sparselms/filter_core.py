@@ -189,6 +189,7 @@ class FilterState:
         return state
 
 
+@quietly
 def pnorm_like(w, p):
     """Nonconvex sparsity penalty ``sum_i |w_i|**p`` with 0 < p < 1.
 

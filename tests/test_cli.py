@@ -15,8 +15,6 @@ import io
 import pkgutil
 import random
 import re
-import subprocess
-import sys
 import tempfile
 import warnings
 import xml.etree.ElementTree as ET
@@ -27,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import run_python
 from sparselms import (
     ConfigError,
     ExperimentConfig,
@@ -951,9 +950,8 @@ def test_readme_library_block_runs():
 
 
 def test_module_entry_point_runs_without_warnings(package_env):
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "sparselms.cli", "--help"],
-        env=package_env, capture_output=True, text=True,
+    proc = run_python(
+        "-W", "error::RuntimeWarning", "-m", "sparselms.cli", "--help", env=package_env
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
@@ -971,9 +969,7 @@ def test_imports_do_not_load_numpy_random(package_env):
         "import sparselms.cli\n"
         "assert 'numpy.random' not in sys.modules, 'cli'\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=package_env, capture_output=True, text=True
-    )
+    proc = run_python("-c", script, env=package_env)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -991,9 +987,7 @@ def test_the_harness_and_writers_load_on_first_use(package_env):
         "assert sparselms.run_experiment.__module__ == 'sparselms.experiment'\n"
         "assert 'sparselms.cli' not in sys.modules, 'sparselms.cli'\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=package_env, capture_output=True, text=True
-    )
+    proc = run_python("-c", script, env=package_env)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1013,9 +1007,7 @@ def test_probing_the_package_loads_no_harness(package_env):
         "loaded = [n for n in names if 'sparselms.' + n in sys.modules]\n"
         "assert loaded == [], loaded\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=package_env, capture_output=True, text=True
-    )
+    proc = run_python("-c", script, env=package_env)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -1053,10 +1045,7 @@ def test_main_freezes_the_heap_at_exit_and_writes_everything(tmp_path, capsys, p
     child_out, own_out = tmp_path / "child", tmp_path / "own"
     argv = TINY_RUN + ["--out", str(child_out)]
     body = f"assert cli.main({argv!r}) == 0\nassert cli.main({argv!r}) == 0"
-    proc = subprocess.run(
-        [sys.executable, "-c", EXIT_CHECK.format(body=body)],
-        env=package_env, capture_output=True, text=True,
-    )
+    proc = run_python("-c", EXIT_CHECK.format(body=body), env=package_env)
     assert proc.returncode == 0, proc.stderr
     calls, count = exit_report(proc.stderr)
     assert calls == 1  # two main calls, one hook
@@ -1069,9 +1058,6 @@ def test_main_freezes_the_heap_at_exit_and_writes_everything(tmp_path, capsys, p
 
 
 def test_importing_the_cli_leaves_exit_alone(package_env):
-    proc = subprocess.run(
-        [sys.executable, "-c", EXIT_CHECK.format(body="cli.build_arg_parser()")],
-        env=package_env, capture_output=True, text=True,
-    )
+    proc = run_python("-c", EXIT_CHECK.format(body="cli.build_arg_parser()"), env=package_env)
     assert proc.returncode == 0, proc.stderr
     assert exit_report(proc.stderr) == (0, 0)

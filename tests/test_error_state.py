@@ -1,9 +1,11 @@
 """The numeric path runs in one floating-point error state, ``errors.QUIET``.
 
-``step``, the engine and the AR(1) rescale enter their own copy of it, so a
+``step``, the engine, the AR(1) rescale and every other public function that
+computes with the numbers it is given enter their own copy of it, so a
 caller's ``np.errstate`` or ``np.seterr`` (or a parent process's) changes
-neither a run's bytes nor how it fails, and leaves the caller's state as
-it was.
+neither a result's bytes nor how it fails, and leaves the caller's state as
+it was.  A fuzz calls each such function on extreme values of every dtype
+and may see only a value or a named error.
 
 Two ``ast`` scans read the package's source.  One fails if BLAS sums
 anything.  The other fails if a piece of the update rule or of an input rule
@@ -13,29 +15,43 @@ a real number is, and a range's ``ge=``, ``gt=`` or ``lt=`` bound.
 """
 
 import ast
+import math
+import os
 import re
-import subprocess
-import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparselms
+from oracles import run_python
 from sparselms import (
     AlgorithmConfig,
+    ConfigError,
+    DimensionMismatchError,
     DivergenceError,
+    FilterState,
+    MsdCurve,
     ParameterError,
     RngStream,
     Variant,
+    emit_plot,
     gen_ar1_input,
     gen_cell_realizations,
+    gen_gaussian_noise,
+    msd,
     parse_config,
+    pnorm_like,
     pnorm_like_gradient_term,
+    regressor_at,
     run_experiment,
     run_trial,
+    steady_state,
+    step,
 )
 from sparselms.cli import main
 
@@ -107,9 +123,8 @@ def test_cli_output_does_not_depend_on_the_process_error_state(tmp_path, capsys,
     args = ["--config", str(conf), "--runs", "3", "--iterations", "50", "--sr", "1/16",
             "--algorithms", "lms", "--plot", "--summary"]
     assert main(args + ["--out", str(tmp_path / "plain")]) == 0
-    proc = subprocess.run(
-        [sys.executable, "-c", RAISING_CLI, *args, "--out", str(tmp_path / "raising")],
-        env=package_env, capture_output=True, text=True,
+    proc = run_python(
+        "-c", RAISING_CLI, *args, "--out", str(tmp_path / "raising"), env=package_env
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
@@ -146,6 +161,104 @@ def test_the_gradient_term_overflows_to_inf_without_a_warning():
     assert term.tolist() == [np.inf, 0.01]
 
 
+# values that overflow or underflow inside; the caller's error state must not make
+# them a warning or a raise
+EXTREME_CALLS = {
+    "msd-overflow": (msd, [1e200], [0.0]),
+    "msd-underflow": (msd, [1e-200], [0.0]),
+    "pnorm-like-overflow": (pnorm_like, [1e308] * 16, 0.999),
+    "pnorm-like-underflow": (pnorm_like, [1e-320], 0.999),
+    "steady-state-overflow": (
+        steady_state, MsdCurve(Variant.LMS, 1, 16, [1e308, 1e308], 2, [[1e308, 1e308]] * 2), 2
+    ),
+}
+
+
+@pytest.mark.parametrize("call", EXTREME_CALLS.values(), ids=EXTREME_CALLS)
+def test_extreme_values_are_not_the_callers_error(call):
+    f, *args = call
+    assert repr(raising(f, *args)) == repr(f(*args))
+
+
+def test_a_plot_of_extreme_values_is_not_the_callers_error(tmp_path):
+    # the curve's span divides 1e-320 to an underflow
+    curve = MsdCurve(Variant.LMS, 1, 16, [1.7e308, 0.0, 1e-320], 1)
+    inside = raising(emit_plot, [curve], tmp_path / "inside.svg")
+    assert inside.read_text() == emit_plot([curve], tmp_path / "outside.svg").read_text()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                    reason="longdouble is no wider than float64 here")
+def test_a_wider_float_beyond_float64_reads_as_inf():
+    wide = np.array([np.longdouble("1e400"), -np.longdouble("1e400"), 1.0])
+    assert raising(FilterState, wide).weights.tolist() == [math.inf, -math.inf, 1.0]
+    assert FilterState(wide).weights.tolist() == [math.inf, -math.inf, 1.0]
+    assert raising(msd, wide, np.zeros(3)) == msd(wide, np.zeros(3)) == math.inf
+    assert raising(pnorm_like, wide, 0.5) == pnorm_like(wide, 0.5) == math.inf
+    with pytest.raises(ParameterError, match="MSD values must be nonnegative and finite"):
+        raising(MsdCurve, Variant.LMS, 1, 16, wide[:1], 1)
+
+
+NAMED_ERRORS = (ParameterError, DimensionMismatchError, ConfigError, DivergenceError)
+EXTREMES = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-320, 1e308, -1e308, np.inf, -np.inf, np.nan]
+DTYPES = [np.float64, np.float32, np.float16, np.longdouble, np.int8, np.uint8, object]
+
+
+@st.composite
+def library_calls(draw):
+    """``(f, args)`` for each public numeric entry point, each array and scalar of
+    numbers drawn from ``EXTREMES`` and cast to a drawn dtype."""
+    n, m, runs = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    k, window, db_scale = draw(st.integers(0, m - 1)), draw(st.integers(1, m)), draw(st.booleans())
+    # one list of each, which draws faster than an array at a time: 35 numbers and
+    # 13 dtypes at most
+    numbers = iter(draw(st.lists(st.sampled_from(EXTREMES), min_size=35, max_size=35)))
+    dtypes = iter(draw(st.lists(st.sampled_from(DTYPES), min_size=13, max_size=13)))
+
+    def extremes(*shape):
+        a = np.array([next(numbers) for _ in range(math.prod(shape))]).reshape(shape)
+        with np.errstate(all="ignore"):  # nan and inf wrap into the integer dtypes
+            return a.astype(next(dtypes))[()]  # a 0-d array's scalar
+
+    w, x, signal, noise, values = extremes(n), extremes(n), extremes(m), extremes(m), extremes(m)
+    tails = extremes(runs, m) if draw(st.booleans()) else None
+    mu, gamma, rho_pl, epsilon_pl, desired, coeff, variance = (extremes() for _ in range(7))
+    p = draw(st.floats(0.0, 0.999, exclude_min=True))
+    variant = draw(st.sampled_from(list(Variant)))
+
+    def cfg():
+        return AlgorithmConfig(variant, mu=mu, gamma=gamma, rho_pl=rho_pl,
+                               epsilon_pl=epsilon_pl, p=p)
+
+    def curve():
+        return MsdCurve(variant, 1, 16, values, runs, tails)
+
+    return [
+        (FilterState, (w,)),
+        (lambda: step(FilterState(w), x, desired, cfg()), ()),
+        (msd, (w, x)),
+        (pnorm_like, (w, p)),
+        (pnorm_like_gradient_term, (w, p, epsilon_pl)),
+        (regressor_at, (signal, k, n)),
+        (lambda: run_trial(w, signal, noise, cfg(), m), ()),
+        (lambda: steady_state(curve(), window), ()),
+        (lambda: emit_plot([curve()], os.devnull, db_scale), ()),
+        (gen_ar1_input, (m, coeff, variance, RngStream(0))),
+        (gen_gaussian_noise, (m, variance, RngStream(0))),
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(library_calls())
+def test_library_calls_fail_only_by_name(calls):
+    # every call returns a value or raises a named error, whatever the caller's error state
+    for f, args in calls:
+        try:
+            raising(f, *args)
+        except NAMED_ERRORS:
+            pass
+
+
 # numpy 2 keeps the error state in a context variable, so QUIET's import-time
 # seterr and the calls that enter it leave the importing thread's state alone
 ERROR_STATE_ACROSS_A_RUN = """
@@ -160,11 +273,9 @@ print(np.geterr())
 
 
 def test_a_fresh_interpreters_error_state_survives_import_and_a_run(package_env):
-    out = subprocess.run(
-        [sys.executable, "-c", ERROR_STATE_ACROSS_A_RUN],
-        env=package_env, capture_output=True, text=True, check=True,
-    ).stdout
-    before, after = out.splitlines()
+    proc = run_python("-c", ERROR_STATE_ACROSS_A_RUN, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.splitlines()
     assert after == before
 
 

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import sparselms
+from oracles import run_inputs, step_trial
 from sparselms import experiment
 from sparselms import (
     AlgorithmConfig,
@@ -118,16 +119,8 @@ def test_msd_length_mismatch():
 # ---------------------------------------------------------------- run_trial
 
 
-def trial_inputs(seed, level=4, n_taps=16, length=216):
-    stream = RngStream(seed)
-    system = gen_sparse_system(n_taps, level, stream)
-    x = gen_ar1_input(length, 0.8, 1e-3, stream)
-    noise = gen_gaussian_noise(length, 1e-2, stream)
-    return system, x, noise
-
-
 def test_run_trial_frozen_filter_is_constant():
-    system, x, noise = trial_inputs(2)
+    system, x, noise = run_inputs(2)
     for variant in Variant:
         cfg = AlgorithmConfig(variant, mu=0.0, gamma=0.0, rho_pl=0.0)
         trace = run_trial(system, x, noise, cfg, 200)
@@ -135,7 +128,7 @@ def test_run_trial_frozen_filter_is_constant():
 
 
 def test_run_trial_is_bit_deterministic():
-    system, x, noise = trial_inputs(3)
+    system, x, noise = run_inputs(3)
     cfg = default_schedule()[(Variant.LP_LIKE_LLMS, 4)]
     trace = run_trial(system, x, noise, cfg, 200)
     np.testing.assert_array_equal(trace, run_trial(system, x, noise, cfg, 200))
@@ -147,23 +140,12 @@ def test_run_trial_is_bit_deterministic():
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_run_trial_matches_stepwise_reference(variant):
-    # the batched engine must equal the one-sample step API bit for bit; this
-    # loop forms the desired sample as the engine does, noise[k] first and then
-    # s_i * x[k-i] in tap order, and msd folds the squares as the engine does
+    # the batched engine must equal the one-sample step API bit for bit
     cfg = default_schedule()[(variant, 4)]
     for seed, n in ((4, 200), (100, 400)):
-        system, x, noise = trial_inputs(seed, length=n + 16)
+        system, x, noise = run_inputs(seed, length=n + 16)
         trace = run_trial(system, x, noise, cfg, n)
-        state = FilterState.zeros(16)
-        ref = np.empty(n)
-        for k in range(n):
-            xk = regressor_at(x[:n], k, 16)
-            d = float(noise[k])
-            for s_i, x_i in zip(system.tolist(), xk.tolist()):
-                d += s_i * x_i
-            state, _ = step(state, xk, d, cfg)
-            ref[k] = msd(system, state.weights)
-        np.testing.assert_array_equal(trace, ref)
+        np.testing.assert_array_equal(trace, step_trial(system, x, noise, cfg, n)[0])
 
 
 def test_run_trial_noiseless_lms_converges():
@@ -176,7 +158,7 @@ def test_run_trial_noiseless_lms_converges():
 
 
 def test_run_trial_rejects_short_signals():
-    system, x, noise = trial_inputs(6)
+    system, x, noise = run_inputs(6)
     cfg = AlgorithmConfig(Variant.LMS, mu=0.01)
     with pytest.raises(DimensionMismatchError):
         run_trial(system, x[:100], noise, cfg, 200)
@@ -187,7 +169,7 @@ def test_run_trial_rejects_short_signals():
 
 
 def test_run_trial_divergence_carries_iteration():
-    system, x, noise = trial_inputs(7)
+    system, x, noise = run_inputs(7)
     cfg = AlgorithmConfig(Variant.LMS, mu=1e200)
     with pytest.raises(DivergenceError) as exc:
         run_trial(system, x, noise, cfg, 200)
@@ -208,10 +190,7 @@ def test_variants_must_be_variant_members():
 def test_run_cell_single_run_equals_trial():
     config = small_config(runs=1)
     curve = run_experiment(config, [Variant.LMS], [4])[0]
-    stream = RngStream(config.master_seed, 0)
-    system = gen_sparse_system(16, 4, stream)
-    x = gen_ar1_input(216, 0.8, 1e-3, stream)
-    noise = gen_gaussian_noise(216, 1e-2, stream)
+    system, x, noise = run_inputs(config.master_seed)
     trace = run_trial(system, x, noise, config.schedule[(Variant.LMS, 4)], 200)
     np.testing.assert_array_equal(curve.values, trace)
     assert curve.runs == 1 and curve.sparsity_level == 4 and curve.n_taps == 16
@@ -225,11 +204,7 @@ def test_run_cell_rows_equal_run_trial(variant):
     curve = run_experiment(config, [variant], [4])[0]
     acc = np.zeros(200)
     for r in range(7):
-        stream = RngStream(config.master_seed, r)
-        system = gen_sparse_system(16, 4, stream)
-        x = gen_ar1_input(216, 0.8, 1e-3, stream)
-        noise = gen_gaussian_noise(216, 1e-2, stream)
-        trace = run_trial(system, x, noise, cfg, 200)
+        trace = run_trial(*run_inputs(config.master_seed, r), cfg, 200)
         np.testing.assert_array_equal(curve.run_tails[r], trace[-50:])
         acc += trace
     np.testing.assert_array_equal(curve.values, acc / 7)
@@ -247,11 +222,8 @@ def test_run_cell_mean_is_exact_run_average():
     curve = run_experiment(config, [Variant.LP_LIKE_LMS], [1])[0]
     acc = np.zeros(200)
     for r in range(5):
-        stream = RngStream(config.master_seed, r)
-        system = gen_sparse_system(16, 1, stream)
-        x = gen_ar1_input(216, 0.8, 1e-3, stream)
-        noise = gen_gaussian_noise(216, 1e-2, stream)
-        acc += run_trial(system, x, noise, config.schedule[(Variant.LP_LIKE_LMS, 1)], 200)
+        inputs = run_inputs(config.master_seed, r, level=1)
+        acc += run_trial(*inputs, config.schedule[(Variant.LP_LIKE_LMS, 1)], 200)
     np.testing.assert_array_equal(curve.values, acc / 5)
 
 
@@ -299,20 +271,11 @@ def test_run_cell_reports_first_diverging_run_in_run_order(monkeypatch):
     )
 
     def step_divergence(a):
-        x = np.full(200, a)
-        state = FilterState.zeros(4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(200):
-                xk = regressor_at(x, k, 4)
-                try:
-                    state, _ = step(state, xk, float(np.sum(xk)), cfg)
-                except DivergenceError as err:
-                    return err.iteration
-        return None
+        return step_trial(np.ones(4), np.full(200, a), np.zeros(200), cfg, 200)[1]
 
-    assert step_divergence(amplitude[0]) is None
+    assert step_divergence(amplitude[0]) == -1
     k1, k2 = step_divergence(amplitude[1]), step_divergence(amplitude[2])
-    assert k1 is not None and k2 is not None and k2 < k1
+    assert 0 <= k2 < k1
     with pytest.raises(DivergenceError) as exc:
         run_experiment(config, [Variant.LMS], [4])[0]
     assert exc.value.run == 1
@@ -338,7 +301,7 @@ def test_run_trial_fails_where_its_cell_does():
     config = small_config(runs=1, iterations=2000, schedule={(Variant.LP_LIKE_LLMS, 4): RUNAWAY})
     with pytest.raises(DivergenceError) as cell:
         run_experiment(config, [Variant.LP_LIKE_LLMS], [4])
-    system, x, noise = trial_inputs(config.master_seed, 4, 16, 2016)
+    system, x, noise = run_inputs(config.master_seed, length=2016)
     with pytest.raises(DivergenceError) as trial:
         run_trial(system, x, noise, RUNAWAY, 2000)
     assert cell.value.iteration == trial.value.iteration == 84

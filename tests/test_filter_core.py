@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import left_fold
 from sparselms import (
     AlgorithmConfig,
     DimensionMismatchError,
@@ -231,13 +232,6 @@ def test_step_shrinkage_at_p_half_is_a_square_root(variant):
     out = step(FilterState(w), np.zeros(w.size), 0.0, cfg)[0]
     expected = w - 0.5 * (0.5 * np.sign(w) / (1e-3 + np.sqrt(np.abs(w))))
     np.testing.assert_array_equal(out.weights, expected)
-
-
-def left_fold(values):
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -4,8 +4,9 @@
 scalar at a time).  It shares no code with the package, so agreement with it
 checks the engine's arithmetic, not just its consistency with itself.  The
 engine and ``filter_core.step`` share one update, ``filter_core._advance``,
-and both sum over taps left to right, so all three agree bit for bit, and
-on the divergence iteration, over drawn parameters and batch widths.
+and both sum over taps left to right, so all three (the loop of steps is
+``oracles.step_trial``) agree bit for bit, and on the divergence iteration,
+over drawn parameters and batch widths.
 """
 
 import math
@@ -15,25 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparselms import (
-    AlgorithmConfig,
-    DivergenceError,
-    FilterState,
-    LeakSign,
-    RngStream,
-    Variant,
-    default_schedule,
-    step,
-)
+from oracles import left_fold, run_inputs, step_trial
+from sparselms import AlgorithmConfig, LeakSign, Variant, default_schedule
 from sparselms.experiment import _batch_signal, _run_batch
 from sparselms.filter_core import _left_fold
-from sparselms.signal_gen import (
-    gen_ar1_input,
-    gen_cell_realizations,
-    gen_gaussian_noise,
-    gen_sparse_system,
-    regressor_at,
-)
+from sparselms.signal_gen import gen_cell_realizations
 
 
 def array_pow(x, e):
@@ -101,14 +88,6 @@ def numpy_trial(system, x, noise, cfg, iterations):
     return traces[0], int(bad[0])
 
 
-def make_trial_inputs(seed, n_taps=16, iterations=400):
-    stream = RngStream(seed)
-    system = gen_sparse_system(n_taps, 4, stream)
-    x = gen_ar1_input(iterations + n_taps, 0.8, 1e-3, stream)
-    noise = gen_gaussian_noise(iterations + n_taps, 1e-2, stream)
-    return system, x, noise
-
-
 def assert_rows_equal_scalar(traces, bad, rows, refs):
     """Each engine row equals its scalar trial: divergence iteration and trace up to it."""
     for r, (ref, ref_bad) in enumerate(refs):
@@ -122,7 +101,7 @@ def test_backend_parity(variant):
     # identical arithmetic, so every row at every batch width equals its
     # scalar trial bit for bit: batch neighbours must not leak in
     cfg = default_schedule()[(variant, 4)]
-    rows = [make_trial_inputs(seed) for seed in range(99, 116)]
+    rows = [run_inputs(seed, length=416) for seed in range(99, 116)]
     refs = [scalar_trial(*row, cfg, 400) for row in rows]
     assert all(ref_bad == -1 for _, ref_bad in refs)
     for width in (1, 2, 5, 17):
@@ -133,7 +112,7 @@ def test_backend_parity(variant):
 
 @pytest.mark.parametrize("trial", [numpy_trial, scalar_trial], ids=["numpy", "scalar"])
 def test_backend_is_bit_deterministic(trial):
-    system, x, noise = make_trial_inputs(101)
+    system, x, noise = run_inputs(101, length=416)
     cfg = default_schedule()[(Variant.LP_LIKE_LLMS, 4)]
     a, bad_a = trial(system, x, noise, cfg, 400)
     b, bad_b = trial(system, x, noise, cfg, 400)
@@ -153,13 +132,6 @@ def test_protocol_rows_equal_scalar_over_all_iterations(level):
         traces, bad = engine(systems[rows], xs[rows], noises[rows], cfg, n)
         refs = [scalar_trial(systems[r], xs[r], noises[r], cfg, n) for r in rows]
         assert_rows_equal_scalar(traces, bad, rows, refs)
-
-
-def left_fold(a):
-    acc = a[0].copy()
-    for row in a[1:]:
-        acc += row
-    return acc
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 5, 17, 200])
@@ -188,37 +160,11 @@ def test_shrinkage_of_a_zero_weight_is_zero_even_if_its_size_overflows(variant):
     # rho_pl * p / epsilon_pl overflows here; sign(0) = 0 must still win, as
     # in step, instead of 0 * inf turning a zero weight into NaN
     cfg = AlgorithmConfig(variant, mu=0.015, gamma=0.005, rho_pl=1.0, epsilon_pl=1e-310)
-    system, x, noise = make_trial_inputs(5, iterations=40)
+    system, x, noise = run_inputs(5, length=56)
     trace, bad = numpy_trial(system, x, noise, cfg, 40)
     ref, ref_bad = scalar_trial(system, x, noise, cfg, 40)
     assert bad == ref_bad == -1
     np.testing.assert_array_equal(trace, ref)
-
-
-def step_trial(system, x, noise, cfg, iterations):
-    """The trial as a loop of ``filter_core.step`` calls; returns (trace, bad).
-
-    The desired sample and the trace are summed as the engine sums them:
-    ``noise[k]`` first, then ``system[i] * x[k-i]`` in tap order, and the
-    squared deviations as a left fold in tap order.
-    """
-    n_taps = len(system)
-    state = FilterState.zeros(n_taps)
-    trace = np.empty(iterations)
-    # the deviation of huge but finite weights overflows, as in the engine
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(iterations):
-            xk = regressor_at(x[:iterations], k, n_taps)
-            d = float(noise[k])
-            for s_i, x_i in zip(system.tolist(), xk.tolist()):
-                d += s_i * x_i
-            try:
-                state, _ = step(state, xk, d, cfg)
-            except DivergenceError as err:
-                return trace, err.iteration
-            dev = system - state.weights
-            trace[k] = np.add.accumulate(dev * dev)[-1]
-    return trace, -1
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,13 +4,12 @@ the protocol's cells, and the cell builder's peak memory.
 """
 
 import hashlib
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import run_inputs, run_python
 from sparselms import (
     ParameterError,
     RngStream,
@@ -222,10 +221,7 @@ def test_cell_rows_equal_single_run_generators():
         )
         assert systems.shape == (runs, 16) and xs.shape == noises.shape == (runs, length)
         for r in range(runs):
-            stream = RngStream(77, r)
-            system = gen_sparse_system(16, level, stream)
-            x = gen_ar1_input(length, 0.8, 1e-3, stream)
-            noise = gen_gaussian_noise(length, 1e-2, stream)
+            system, x, noise = run_inputs(77, r, level, length)
             assert systems[r].tobytes() == system.tobytes()
             assert xs[r].tobytes() == x.tobytes()
             assert noises[r].tobytes() == noise.tobytes()
@@ -291,11 +287,9 @@ print(",".join(sorted(roots - set(sys.stdlib_module_names))))
 
 
 def test_import_loads_no_third_party_package_but_numpy(package_env):
-    out = subprocess.run(
-        [sys.executable, "-c", IMPORTED_PACKAGES],
-        env=package_env, capture_output=True, text=True, check=True,
-    ).stdout
-    assert out.strip() == "numpy,sparselms"
+    proc = run_python("-c", IMPORTED_PACKAGES, env=package_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "numpy,sparselms"
 
 
 # ------------------------------------------------------------------- noise
