@@ -63,13 +63,14 @@ __all__ = [
 _TRACE_ABORT = 1e6
 
 
-@dataclass
+@dataclass(eq=False)
 class MsdCurve:
     """Per-iteration mean squared deviation for one (variant, sparsity) cell.
 
     ``run_tails`` holds each run's trailing trace window (runs x window, no wider
     than ``values`` and, like it, nonnegative and finite), or is ``None``, so that
-    :func:`steady_state` can report a standard error across runs.
+    :func:`steady_state` can report a standard error across runs.  A curve
+    compares and hashes by identity, as an array has no one truth value.
     """
 
     variant: Variant

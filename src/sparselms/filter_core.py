@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import (
     NON_FINITE,
-    QUIET,
     DimensionMismatchError,
     DivergenceError,
     as_floats,
@@ -160,12 +159,13 @@ class AlgorithmConfig:
         return leak_mult, shrink
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterState:
     """Current weight estimate plus the number of completed updates.
 
     ``weights`` is 1-d with at least one tap and ``iteration`` an integer >= 0,
-    checked on construction, by ``dataclasses.replace`` too.
+    checked on construction, by ``dataclasses.replace`` too.  A state compares
+    and hashes by identity, as an array has no one truth value.
     """
 
     weights: np.ndarray
@@ -208,8 +208,8 @@ def pnorm_like_gradient_term(w, p, epsilon_pl):
 
     The regularizer keeps the denominator away from zero; with
     ``epsilon_pl = 0`` the element at ``w_i = 0`` is defined as 0, as
-    ``sgn(0) = 0`` wins over the vanishing denominator.  Runs in a copy of
-    ``errors.QUIET``, so an overflow is a value, not a warning.
+    ``sgn(0) = 0`` wins over the vanishing denominator.  Runs under
+    ``errors.quietly``, so an overflow is a value, not a warning.
 
     Returns
     -------
@@ -262,11 +262,12 @@ def _advance(w, x, desired, cfg, out=None):
     return new_w, e
 
 
+@quietly
 def step(state, x, desired, cfg):
     """Advance one sample with the configured rule.
 
-    The engine's update, ``_advance``, on one filter.  Runs in its own copy
-    of ``errors.QUIET``, so overflow is reported as DivergenceError whatever
+    The engine's update, ``_advance``, on one filter.  Runs under
+    ``errors.quietly``, so overflow is reported as DivergenceError whatever
     error state the caller set.
 
     Returns
@@ -275,10 +276,6 @@ def step(state, x, desired, cfg):
         The new state and the pre-update error ``e = desired - w . x``,
         which is the same for every variant.
     """
-    return QUIET.copy().run(_step, state, x, desired, cfg)
-
-
-def _step(state, x, desired, cfg):
     check_instance("state", state, FilterState)
     check_instance("cfg", cfg, AlgorithmConfig)
     x = as_floats("regressor", x)

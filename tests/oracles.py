@@ -2,11 +2,14 @@
 
 ``run_inputs`` draws one run as a cell draws it, ``step_trial`` runs a trial
 as a loop of the one-sample ``step``, ``left_fold`` sums in order, and
-``run_python`` runs a child interpreter.
+``run_python`` runs a child interpreter.  The guards each have one copy too:
+``raising`` calls under a raising error state, ``traced_peak`` measures a
+call's memory, and ``curve_bytes`` is what two studies' curves compare by.
 """
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 
@@ -68,3 +71,31 @@ def left_fold(values):
 def run_python(*args, env):
     """A child Python run with ``args`` in ``env``, its output captured as text."""
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def raising(f, *args):
+    """``f(*args)`` under ``np.errstate(all="raise")``; checks that the state is kept."""
+    with np.errstate(all="raise"):
+        state = np.geterr()
+        try:
+            return f(*args)
+        finally:
+            assert np.geterr() == state
+
+
+def traced_peak(f, *args):
+    """The ``tracemalloc`` peak in bytes of a second ``f(*args)``; the first call
+    leaves numpy's lazy imports out of it."""
+    f(*args)
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def curve_bytes(curves):
+    """Each curve's ``(variant, level, values bytes, run_tails bytes)``."""
+    return [(c.variant, c.sparsity_level, c.values.tobytes(), c.run_tails.tobytes())
+            for c in curves]

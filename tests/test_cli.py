@@ -890,6 +890,8 @@ def test_run_fails_only_by_name(run):
         conf.write_text(text)
         out = Path(tmp) / "o"
         stderr = io.StringIO()
+        # a suite-wide "error" filter turns a failing hypothesis example into an
+        # INTERNALERROR, so this block checks main for every warning category itself
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("always")

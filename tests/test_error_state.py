@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparselms
-from oracles import run_python
+from oracles import curve_bytes, raising, run_python
 from sparselms import (
     AlgorithmConfig,
     ConfigError,
@@ -54,20 +54,6 @@ from sparselms import (
     step,
 )
 from sparselms.cli import main
-
-
-def raising(f, *args):
-    """``f(*args)`` under ``np.errstate(all="raise")``; checks that the state is kept."""
-    with np.errstate(all="raise"):
-        state = np.geterr()
-        try:
-            return f(*args)
-        finally:
-            assert np.geterr() == state
-
-
-def curve_bytes(curves):
-    return [(c.values.tobytes(), c.run_tails.tobytes()) for c in curves]
 
 
 def test_run_trial_underflow_is_not_the_callers_error():
@@ -153,11 +139,18 @@ def test_threads_run_trials_to_the_serial_bits():
         assert list(pool.map(run, range(8))) == [serial] * 8
 
 
+def test_every_runtime_warning_fails_a_test():
+    # pyproject's filterwarnings is the suite's one warning rule: the tests that
+    # want no warning from a call rely on it, and a ComplexWarning is a RuntimeWarning
+    with pytest.raises(RuntimeWarning):
+        warnings.warn("x", RuntimeWarning)
+    with pytest.raises(np.exceptions.ComplexWarning):
+        np.array([1 + 1j]).astype(float)
+
+
 def test_the_gradient_term_overflows_to_inf_without_a_warning():
     # a subnormal weight with epsilon_pl = 0: p/|w|**(1-p) is too large for a float
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        term = pnorm_like_gradient_term(np.array([5e-324, 1.0]), 0.01, 0.0)
+    term = pnorm_like_gradient_term(np.array([5e-324, 1.0]), 0.01, 0.0)
     assert term.tolist() == [np.inf, 0.01]
 
 
@@ -332,7 +325,7 @@ RULE_OWNERS = {
     "asarray": {"errors.py:as_floats"},
     "integer": {"errors.py:_is_integer"},
     "real": {"errors.py:_is_real"},
-    "range": {"filter_core.py:_step", "filter_core.py:pnorm_like_gradient_term"},
+    "range": {"filter_core.py:step", "filter_core.py:pnorm_like_gradient_term"},
 }
 
 

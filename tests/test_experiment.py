@@ -15,15 +15,13 @@ import functools
 import json
 import math
 import re
-import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sparselms
-from oracles import run_inputs, step_trial
+from oracles import curve_bytes, run_inputs, step_trial, traced_peak
 from sparselms import experiment
 from sparselms import (
     AlgorithmConfig,
@@ -365,14 +363,7 @@ def test_a_level_drops_its_realizations_before_the_tap_loop():
     # freed, so the tap loop's product temporary does not add to it
     config = small_config(runs=50, iterations=4000, sparsity_levels=(4,))
     buffer = 50 * 2 * (4000 + 16) * 8  # every run's drive and noise, in float64 bytes
-    experiment._run_level(config, [], 4)  # leaves numpy's lazy imports out of the peak
-    tracemalloc.start()
-    try:
-        experiment._run_level(config, [], 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * buffer
+    assert traced_peak(experiment._run_level, config, [], 4) <= 2.1 * buffer
 
 
 def test_missing_schedule_entry_fails_before_any_level_is_built(monkeypatch):
@@ -601,10 +592,7 @@ def test_a_copy_of_a_study_without_a_schedule_runs_its_own_levels():
     assert copy.schedule == direct.schedule
     curves, expected = run_experiment(copy), run_experiment(direct)
     assert len(curves) == 4
-    for got, want in zip(curves, expected):
-        assert (got.variant, got.sparsity_level) == (want.variant, want.sparsity_level)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.run_tails.tobytes() == want.run_tails.tobytes()
+    assert curve_bytes(curves) == curve_bytes(expected)
     # an entry edited in place is the copy's too
     original = ExperimentConfig(runs=2, iterations=10)
     original.schedule[Variant.LMS, 1] = AlgorithmConfig(Variant.LMS, mu=0.02)
@@ -623,10 +611,7 @@ def test_a_study_without_a_schedule_runs_its_own_levels_as_a_document_does():
     assert config.schedule == {**default_schedule(), **document.schedule}
     curves, expected = run_experiment(config), run_experiment(document)
     assert len(curves) == 4
-    for got, want in zip(curves, expected):
-        assert (got.variant, got.sparsity_level) == (want.variant, want.sparsity_level)
-        assert got.values.tobytes() == want.values.tobytes()
-        assert got.run_tails.tobytes() == want.run_tails.tobytes()
+    assert curve_bytes(curves) == curve_bytes(expected)
 
 
 # ---------------------------------------------------------------- validation
@@ -807,10 +792,9 @@ NO_FILE = Path("no-such-directory", "curves")  # an emitter that checked nothing
 def test_non_numeric_input_fails_by_name(func, args, message):
     # each raised a bare ValueError or TypeError before (numpy's, float()'s, a
     # comparison's or iter()'s), or was taken as a number: a bool as 0 or 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a ComplexWarning is no named failure
-        with pytest.raises(ParameterError) as exc:
-            func(*args)
+    # a ComplexWarning is no named failure; pyproject's filter makes it an error
+    with pytest.raises(ParameterError) as exc:
+        func(*args)
     assert str(exc.value) == message
 
 

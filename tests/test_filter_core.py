@@ -25,14 +25,13 @@ import pickle
 import re
 import subprocess
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import left_fold
+from oracles import left_fold, raising
 from sparselms import (
     AlgorithmConfig,
     DimensionMismatchError,
@@ -40,6 +39,7 @@ from sparselms import (
     ExperimentConfig,
     FilterState,
     LeakSign,
+    MsdCurve,
     ParameterError,
     Variant,
     pnorm_like,
@@ -205,11 +205,9 @@ def test_step_divergence_raises_without_warnings(variant):
     cfg = AlgorithmConfig(variant, mu=1e200, gamma=0.5, rho_pl=0.003)
     x = np.full(4, 1e100)
     state = FilterState.zeros(4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as exc:
-            for _ in range(10):
-                state, _ = step(state, x, 1e100, cfg)
+    with pytest.raises(DivergenceError) as exc:
+        for _ in range(10):
+            state, _ = step(state, x, 1e100, cfg)
     assert exc.value.iteration == state.iteration
 
 
@@ -416,13 +414,10 @@ def test_step_runs_in_its_own_error_state(variant):
     tiny = (FilterState(np.full(4, 1e-300)), np.full(4, 1e-300), 0.0, cfg)
     outside = step(*tiny)
     loop = loop_sha256(variant, None)
-    with np.errstate(all="raise"):
-        raising = np.geterr()
-        inside = step(*tiny)
-        assert loop_sha256(variant, None) == loop
-        with pytest.raises(DivergenceError):
-            step(FilterState([1e300]), [1e8], 1e300, AlgorithmConfig(variant, mu=1e300))
-        assert np.geterr() == raising
+    inside = raising(step, *tiny)
+    assert raising(loop_sha256, variant, None) == loop
+    with pytest.raises(DivergenceError):
+        raising(step, FilterState([1e300]), [1e8], 1e300, AlgorithmConfig(variant, mu=1e300))
     np.testing.assert_array_equal(inside[0].weights, outside[0].weights)
     assert (inside[0].iteration, inside[1]) == (outside[0].iteration, outside[1])
 
@@ -443,9 +438,7 @@ def test_finite_weights_whose_sum_overflows_do_not_diverge(variant):
     # the summed finite check overflows to inf here; the weights are finite
     cfg = AlgorithmConfig(variant, mu=0.0, gamma=0.5, rho_pl=0.0)
     w = np.array([1e308, 1e308])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        new_state, e = step(FilterState(w), np.zeros(2), 0.0, cfg)
+    new_state, e = step(FilterState(w), np.zeros(2), 0.0, cfg)
     np.testing.assert_array_equal(new_state.weights, w)
     assert e == 0.0 and new_state.iteration == 1
 
@@ -737,10 +730,8 @@ def test_step_rejects_new_weights_whose_sum_is_nan(variant):
     # (mu*e)*x overflows to [inf, -inf]: no weight is NaN, but their sum is
     cfg = AlgorithmConfig(variant, mu=1e200, gamma=0.5, rho_pl=0.003)
     state = FilterState(np.zeros(2), iteration=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as exc:
-            step(state, np.array([1e200, -1e200]), 1e200, cfg)
+    with pytest.raises(DivergenceError) as exc:
+        step(state, np.array([1e200, -1e200]), 1e200, cfg)
     assert exc.value.iteration == 3
 
 
@@ -748,10 +739,8 @@ def test_step_rejects_new_weights_whose_sum_is_nan(variant):
 def test_step_rejects_a_nan_weight(variant):
     cfg = AlgorithmConfig(variant, mu=0.0, gamma=0.5, rho_pl=0.003)
     state = FilterState(np.array([np.nan, 0.0]), iteration=5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as exc:
-            step(state, np.zeros(2), 0.0, cfg)
+    with pytest.raises(DivergenceError) as exc:
+        step(state, np.zeros(2), 0.0, cfg)
     assert exc.value.iteration == 5
 
 
@@ -761,9 +750,7 @@ def test_finite_weights_whose_left_fold_overflows_do_not_diverge(variant):
     # though every weight is finite
     cfg = AlgorithmConfig(variant, mu=0.0, gamma=0.5, rho_pl=0.0)
     w = np.array([1e308, 1e308, -1e308])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        new_state, e = step(FilterState(w), np.zeros(3), 0.0, cfg)
+    new_state, e = step(FilterState(w), np.zeros(3), 0.0, cfg)
     np.testing.assert_array_equal(new_state.weights, w)
     assert e == 0.0 and new_state.iteration == 1
 
@@ -829,3 +816,14 @@ def test_configs_and_states_survive_pickle_and_deepcopy(variant):
             want, want_e = step(state, x, 0.4, rule)
             got, e = step(state_copy, x, 0.4, rule_copy)
             assert got.weights.tobytes() == want.weights.tobytes() and e == want_e
+
+
+def test_states_and_curves_compare_and_hash_by_identity():
+    # the generated == compared the array fields as a tuple and raised a bare
+    # ValueError, and hash raised TypeError
+    for make in (lambda: FilterState.zeros(16),
+                 lambda: MsdCurve(Variant.LMS, 1, 16, [1.0, 2.0], 1)):
+        obj, twin = make(), make()
+        assert obj == obj and not obj != obj and obj in [twin, obj]
+        assert obj != twin and twin not in [obj]
+        assert hash(obj) == hash(obj) and len({obj, twin}) == 2

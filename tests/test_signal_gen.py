@@ -4,12 +4,11 @@ the protocol's cells, and the cell builder's peak memory.
 """
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import run_inputs, run_python
+from oracles import run_inputs, run_python, traced_peak
 from sparselms import (
     ParameterError,
     RngStream,
@@ -242,14 +241,7 @@ def test_cell_generation_peaks_at_one_and_a_half_buffers():
     # the buffer, is the only other large array
     args = (1, 50, 16, 4, 4000, 0.8, 1e-3, 1e-2)
     buffer = 50 * 2 * 4000 * 8  # every run's drive and noise, in float64 bytes
-    gen_cell_realizations(*args)  # leaves numpy's lazy imports out of the peak
-    tracemalloc.start()
-    try:
-        gen_cell_realizations(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.6 * buffer
+    assert traced_peak(gen_cell_realizations, *args) <= 1.6 * buffer
 
 
 def test_cell_builder_validation():
