@@ -28,8 +28,7 @@ def _parse_algorithms(raw):
         except ValueError:
             names = ", ".join(v.value for v in Variant)
             raise ConfigError(f"unknown algorithm '{tok}' (choose from: {names})") from None
-        if v not in variants:
-            variants.append(v)
+        variants.append(v)
     return variants
 
 
@@ -54,9 +53,8 @@ def _parse_sr_list(raw, config):
             raise ConfigError(
                 f"sparsity level '{tok}' is not configured (levels: {configured})"
             )
-        if num not in levels:
-            levels.append(num)
-    return sorted(levels)
+        levels.append(num)
+    return levels
 
 
 def _print_summary(curves, config):

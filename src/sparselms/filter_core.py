@@ -90,7 +90,8 @@ class AlgorithmConfig:
     """Scalar hyperparameters for one update rule.
 
     Fields not used by the selected variant are ignored by :func:`step`
-    (for example ``gamma`` under plain ``lms``) and are not validated.
+    (for example ``gamma`` under plain ``lms``) and are not validated, except
+    ``leak_sign``, which every variant defaults and checks to be a ``LeakSign``.
 
     Parameters
     ----------

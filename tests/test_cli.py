@@ -672,6 +672,37 @@ def test_main_rejects_unconfigured_level(tmp_path, capsys):
     assert "not configured" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sr", "1/16,1/16"], "sparsity levels must not repeat, got (1, 1)"),
+        (["--algorithms", "lms,lms"], "variants must not repeat, got ('lms', 'lms')"),
+    ],
+    ids=["sr", "algorithms"],
+)
+def test_main_rejects_a_repeated_item(flags, message, tmp_path, capsys):
+    # the command line dropped a repeat before; it fails as in a config document
+    rc = main([*flags, "--runs", "1", "--iterations", "10", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o" / "msd_curves.csv").exists()
+
+
+def test_main_list_order_changes_no_output(tmp_path, capsys):
+    outputs = []
+    for sr, algorithms in [("8/16,1/16", "llms,lms"), ("1/16,8/16", "lms,llms")]:
+        out = tmp_path / sr.replace("/", "_")
+        rc = main(["--sr", sr, "--algorithms", algorithms, "--runs", "2", "--iterations", "50",
+                   "--plot", "--db", "--summary", "--out", str(out)])
+        assert rc == 0
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line for line in printed if not line.startswith("wrote")]
+        files = [(out / name).read_bytes() for name in ("msd_curves.csv", "msd_curves.svg")]
+        outputs.append((rows, files))
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0][0]) == 5  # the header and one row per cell
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     rc = main(["--config", str(tmp_path / "nope.conf"), "--out", str(tmp_path)])
     assert rc == 1
@@ -861,9 +892,8 @@ def cli_runs(draw):
         if draw(st.integers(0, 15)) == 0:
             levels.append(draw(st.sampled_from([0, -1, n_taps + 1, levels[0]])))
         doc["sparsity_levels"] = ", ".join(map(str, levels))
-        sr = draw(st.sampled_from(levels))
     else:
-        sr = 16
+        levels = ExperimentConfig.sparsity_levels
     flags = []
     for flag, key in FLAGS.items():
         v = value(key)
@@ -872,9 +902,11 @@ def cli_runs(draw):
         if v is not None:
             flags += [flag, v]
     if draw(st.booleans()):
-        flags += ["--sr", f"{sr}/{n_taps}" if draw(st.integers(0, 15)) else "0/16"]
+        srs = draw(st.lists(st.sampled_from(levels), min_size=1, max_size=2))
+        sr = ",".join(f"{s}/{n_taps}" for s in srs)
+        flags += ["--sr", sr if draw(st.integers(0, 15)) else "0/16"]
     if draw(st.booleans()):
-        rules = st.sampled_from(["lms", "llms,lp_like_llms", "lp_like_lms,lms", "rls"])
+        rules = st.sampled_from(["lms", "llms,lp_like_llms", "lp_like_lms,lms", "lms,lms", "rls"])
         flags += ["--algorithms", draw(rules)]
     flags += draw(st.lists(st.sampled_from(["--plot", "--db", "--summary"]), unique=True))
     text = "".join(f"{key} = {v}\n" for key, v in doc.items())

@@ -620,6 +620,8 @@ def test_config_rejects_a_name_for_the_leak_sign():
     # "plus" is no LeakSign: it gave the MINUS multiplier before
     with pytest.raises(ParameterError, match="leak_sign must be a LeakSign, got 'plus'"):
         AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.5, gamma=0.015, leak_sign="plus")
+    with pytest.raises(ParameterError, match="leak_sign must be a LeakSign, got 'plus'"):
+        AlgorithmConfig(Variant.LMS, leak_sign="plus")  # checked though plain LMS ignores it
     cfg = AlgorithmConfig(Variant.LP_LIKE_LLMS, mu=0.5, gamma=0.015)
     with pytest.raises(ParameterError, match="got 'minus'"):
         dataclasses.replace(cfg, leak_sign="minus")
