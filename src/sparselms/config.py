@@ -6,10 +6,10 @@ The default study is the paper's grid: all four rules at each level of
 ``_LEVEL_PARAMS``, which also holds each level's ``rho_pl`` and ``gamma``.
 Every schedule entry is ``_entry``'s: its level's ``_LEVEL_PARAMS``, then the
 global keys its variant reads, then its section's keys.
-A study built without a schedule has ``_entry``'s entry, as a document's, for
-every rule at those levels and at its own; so does a copy of it
-(``dataclasses.replace``) at the copy's levels, where it keeps the entries of
-its original, edited in place or not.  A schedule passed in is kept as given.
+A built study's schedule has ``_entry``'s entry for every rule at each of its
+levels; a document's has these and one at each level that a section names.
+A ``dataclasses.replace`` copy of a built study builds its own at its levels,
+keeping the original's entries, edited or not.  A passed schedule stays as given.
 :mod:`sparselms.experiment` runs a study's cells.
 """
 
@@ -81,8 +81,8 @@ class ExperimentConfig:
     """Full study description: protocol constants plus the parameter schedule.
 
     ``schedule`` maps ``(Variant, nonzero-count)`` to an
-    :class:`~sparselms.filter_core.AlgorithmConfig` of that variant (``None``: see
-    the module docstring); ``steady_state_window`` ``None`` means ``min(500, iterations)``.
+    :class:`~sparselms.filter_core.AlgorithmConfig` of that variant (``None``: built
+    for every rule at each level); ``steady_state_window`` ``None`` means ``min(500, iterations)``.
     """
 
     n_taps: int = 16
@@ -117,8 +117,7 @@ class ExperimentConfig:
         self.sparsity_levels = _check_levels("sparsity_levels", self.sparsity_levels, self.n_taps)
         if self.schedule is None or type(self.schedule) is _BuiltSchedule:
             built = self.schedule or {}
-            levels = dict.fromkeys((*_LEVEL_PARAMS, *self.sparsity_levels))
-            keys = [(v, level) for level in levels for v in Variant]
+            keys = [(v, level) for level in self.sparsity_levels for v in Variant]
             self.schedule = _BuiltSchedule({k: built[k] if k in built else _entry(*k) for k in keys})
         if self.steady_state_window is None:
             self.steady_state_window = min(500, self.iterations)
@@ -216,11 +215,11 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
     ``master_seed``, ``runs`` and ``iterations``, unless ``None``, win over
     the document's keys of those names, as the command-line flags do.
 
-    The document's schedule counts as passed in.  So a ``dataclasses.replace``
-    copy of the result at levels the document did not name fails by name in
-    ``run_experiment`` ("schedule has no entry"), while a copy of a study that
-    ``ExperimentConfig`` built builds its own schedule at its levels, though
-    ``parse_config("") == ExperimentConfig()``.
+    A document that sets no hyperparameter and names no section is the study
+    ``ExperimentConfig`` builds, at any levels: ``parse_config("") == ExperimentConfig()``.
+    Yet its schedule counts as passed in: a ``dataclasses.replace`` copy at levels the
+    document did not name fails by name in ``run_experiment`` ("schedule has no
+    entry"), while a copy of the built study builds its own at its levels.
     """
     global_kv, sections = _parse_document(check_instance("text", text, str))
     fields, broadcast = {}, {}

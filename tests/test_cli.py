@@ -183,7 +183,26 @@ def test_section_outside_the_levels_names_its_line(text, message):
 def test_default_levels_above_a_small_n_taps_stay_legal():
     config = parse_config("n_taps = 4\nsparsity_levels = 1, 4\n[lms.4]\nmu = 0.01\n")
     assert config.schedule[Variant.LMS, 4].mu == 0.01
-    assert ExperimentConfig(n_taps=4, sparsity_levels=(1, 4)).schedule == default_schedule()
+    built = ExperimentConfig(n_taps=4, sparsity_levels=(1, 4)).schedule
+    assert built == parse_config("n_taps = 4\nsparsity_levels = 1, 4").schedule
+    assert max(level for _, level in built) == 4
+
+
+@st.composite
+def studies(draw):
+    n_taps = draw(st.integers(1, 32))
+    return n_taps, tuple(draw(st.lists(st.integers(1, n_taps), min_size=1, unique=True)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(studies())
+def test_a_built_study_is_its_document_at_any_levels(study):
+    # a built study also held every rule at each level of the paper's table
+    n_taps, levels = study
+    config = ExperimentConfig(n_taps=n_taps, sparsity_levels=levels, runs=2, iterations=10)
+    text = f"n_taps = {n_taps}\nsparsity_levels = {', '.join(map(str, levels))}"
+    assert config == parse_config(text, runs=2, iterations=10)
+    assert set(config.schedule) == {(v, s) for v in Variant for s in levels}
 
 
 @pytest.mark.parametrize("case", sorted(DUPLICATES))

@@ -608,10 +608,15 @@ def test_a_study_without_a_schedule_runs_its_own_levels_as_a_document_does():
     # failed in run_experiment, though the same document ran
     config = ExperimentConfig(sparsity_levels=(2,), runs=3, iterations=50)
     document = parse_config("sparsity_levels = 2", runs=3, iterations=50)
-    assert config.schedule == {**default_schedule(), **document.schedule}
+    assert config == document
     curves, expected = run_experiment(config), run_experiment(document)
     assert len(curves) == 4
     assert curve_bytes(curves) == curve_bytes(expected)
+    # a level the study does not list fails by name, as the document's does; the
+    # study held an entry for each level of the paper's table and ran it
+    for study in (config, document):
+        with pytest.raises(ConfigError, match=r"no entry for \(lms, 1/16\)"):
+            run_experiment(study, [Variant.LMS], [1])
 
 
 # ---------------------------------------------------------------- validation
