@@ -6,10 +6,11 @@ The default study is the paper's grid: all four rules at each level of
 ``_LEVEL_PARAMS``, which also holds each level's ``rho_pl`` and ``gamma``.
 Every schedule entry is ``_entry``'s: its level's ``_LEVEL_PARAMS``, then the
 global keys its variant reads, then its section's keys.
-A built study's schedule has ``_entry``'s entry for every rule at each of its
-levels; a document's has these and one at each level that a section names.
-A ``dataclasses.replace`` copy of a built study builds its own at its levels,
-keeping the original's entries, edited or not.  A passed schedule stays as given.
+A study given no schedule builds ``_entry``'s entry for every rule at each of
+its levels; a document's has these and one at each level that a section names.
+A schedule that is given is kept as given, whoever gives it: a caller, a
+document or a ``dataclasses.replace`` copy, which needs ``schedule=None`` to
+build one at new levels.
 :mod:`sparselms.experiment` runs a study's cells.
 """
 
@@ -62,18 +63,13 @@ def _entry(variant, level, broadcast=None, section=None):
     return AlgorithmConfig(variant, **params)
 
 
-class _BuiltSchedule(dict):
-    """The schedule that an :class:`ExperimentConfig` built because none was
-    passed; a copy of that study, which is passed it, builds its own from it."""
-
-
 def default_schedule():
     """Hyperparameters for every (variant, nonzero-count) cell of the default study.
 
     Each variant takes the ``rho_pl`` and ``gamma`` of ``_LEVEL_PARAMS`` that
     it reads; every other field is the default of :class:`AlgorithmConfig`.
     """
-    return dict(ExperimentConfig().schedule)
+    return ExperimentConfig().schedule
 
 
 @dataclasses.dataclass
@@ -82,7 +78,8 @@ class ExperimentConfig:
 
     ``schedule`` maps ``(Variant, nonzero-count)`` to an
     :class:`~sparselms.filter_core.AlgorithmConfig` of that variant (``None``: built
-    for every rule at each level); ``steady_state_window`` ``None`` means ``min(500, iterations)``.
+    for every rule at each level; given, kept as given, in a ``dataclasses.replace``
+    copy too); ``steady_state_window`` ``None`` means ``min(500, iterations)``.
     """
 
     n_taps: int = 16
@@ -115,10 +112,8 @@ class ExperimentConfig:
         )
         self.master_seed = check_integer("master_seed", self.master_seed, **_RANGES["seed"])
         self.sparsity_levels = _check_levels("sparsity_levels", self.sparsity_levels, self.n_taps)
-        if self.schedule is None or type(self.schedule) is _BuiltSchedule:
-            built = self.schedule or {}
-            keys = [(v, level) for level in self.sparsity_levels for v in Variant]
-            self.schedule = _BuiltSchedule({k: built[k] if k in built else _entry(*k) for k in keys})
+        if self.schedule is None:
+            self.schedule = {(v, s): _entry(v, s) for s in self.sparsity_levels for v in Variant}
         if self.steady_state_window is None:
             self.steady_state_window = min(500, self.iterations)
         check_integer("steady_state_window", self.steady_state_window, 1, self.iterations)
@@ -217,9 +212,8 @@ def parse_config(text, *, master_seed=None, runs=None, iterations=None):
 
     A document that sets no hyperparameter and names no section is the study
     ``ExperimentConfig`` builds, at any levels: ``parse_config("") == ExperimentConfig()``.
-    Yet its schedule counts as passed in: a ``dataclasses.replace`` copy at levels the
-    document did not name fails by name in ``run_experiment`` ("schedule has no
-    entry"), while a copy of the built study builds its own at its levels.
+    Its schedule is kept as given, as every given schedule is, so a
+    ``dataclasses.replace`` copy of either behaves as a copy of the other.
     """
     global_kv, sections = _parse_document(check_instance("text", text, str))
     fields, broadcast = {}, {}

@@ -9,6 +9,7 @@ modules each import loads.
 
 import ast
 import contextlib
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -191,18 +192,29 @@ def test_default_levels_above_a_small_n_taps_stay_legal():
 @st.composite
 def studies(draw):
     n_taps = draw(st.integers(1, 32))
-    return n_taps, tuple(draw(st.lists(st.integers(1, n_taps), min_size=1, unique=True)))
+    level_sets = st.lists(st.integers(1, n_taps), min_size=1, unique=True).map(tuple)
+    return n_taps, draw(level_sets), draw(level_sets)
 
 
 @settings(max_examples=100, deadline=None)
 @given(studies())
 def test_a_built_study_is_its_document_at_any_levels(study):
-    # a built study also held every rule at each level of the paper's table
-    n_taps, levels = study
+    # a built study also held every rule at each level of the paper's table,
+    # and a copy of it at other levels rebuilt its schedule, while the
+    # document's copy kept the document's
+    n_taps, levels, other_levels = study
     config = ExperimentConfig(n_taps=n_taps, sparsity_levels=levels, runs=2, iterations=10)
     text = f"n_taps = {n_taps}\nsparsity_levels = {', '.join(map(str, levels))}"
-    assert config == parse_config(text, runs=2, iterations=10)
+    document = parse_config(text, runs=2, iterations=10)
+    assert config == document
     assert set(config.schedule) == {(v, s) for v in Variant for s in levels}
+    copies = [dataclasses.replace(c, sparsity_levels=other_levels) for c in (config, document)]
+    assert copies[0] == copies[1]
+    missing = [s for s in other_levels if s not in levels]
+    if missing:
+        for copy in copies:
+            with pytest.raises(ConfigError, match=rf"no entry for \(lms, {missing[0]}/{n_taps}\)"):
+                run_experiment(copy)
 
 
 @pytest.mark.parametrize("case", sorted(DUPLICATES))

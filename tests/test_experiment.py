@@ -584,23 +584,24 @@ def test_default_schedule_is_the_papers_table():
     assert default_schedule() == expected
 
 
-def test_a_copy_of_a_study_without_a_schedule_runs_its_own_levels():
-    # dataclasses.replace passed on the schedule built for the original's
-    # levels, and the copy failed in run_experiment with no entry for level 2
-    copy = dataclasses.replace(ExperimentConfig(runs=2, iterations=10), sparsity_levels=(2,))
+def test_a_copy_of_a_study_keeps_its_schedule_as_given():
+    # a copy of the built study rebuilt its schedule at the copy's levels and
+    # ran, while the copy of the equal document kept its schedule and failed
+    built = ExperimentConfig(runs=2, iterations=10)
+    document = parse_config("", runs=2, iterations=10)
+    copies = [dataclasses.replace(study, sparsity_levels=(2,)) for study in (built, document)]
+    assert copies[0] == copies[1]
+    for copy in copies:
+        with pytest.raises(ConfigError, match=r"no entry for \(lms, 2/16\)"):
+            run_experiment(copy)
+    # schedule=None builds one at the copy's levels
+    copy = dataclasses.replace(built, sparsity_levels=(2,), schedule=None)
     direct = ExperimentConfig(sparsity_levels=(2,), runs=2, iterations=10)
-    assert copy.schedule == direct.schedule
-    curves, expected = run_experiment(copy), run_experiment(direct)
-    assert len(curves) == 4
-    assert curve_bytes(curves) == curve_bytes(expected)
+    assert copy == direct
+    assert curve_bytes(run_experiment(copy)) == curve_bytes(run_experiment(direct))
     # an entry edited in place is the copy's too
-    original = ExperimentConfig(runs=2, iterations=10)
-    original.schedule[Variant.LMS, 1] = AlgorithmConfig(Variant.LMS, mu=0.02)
-    assert dataclasses.replace(original, runs=3).schedule == original.schedule
-    # a schedule passed in, the default one included, is the copy's as given
-    given = ExperimentConfig(runs=2, iterations=10, schedule=default_schedule())
-    with pytest.raises(ConfigError, match=r"no entry for \(lms, 2/16\)"):
-        run_experiment(dataclasses.replace(given, sparsity_levels=(2,)))
+    built.schedule[Variant.LMS, 1] = AlgorithmConfig(Variant.LMS, mu=0.02)
+    assert dataclasses.replace(built, runs=3).schedule == built.schedule
 
 
 def test_a_study_without_a_schedule_runs_its_own_levels_as_a_document_does():

@@ -44,9 +44,18 @@ each difference above 0 by more than 3 paired stderr, and their
 predicted order.  The shortfall below 1 is about the size of the leaky
 rules' gap at the sparse levels, below.
 
+The recursion holds in the steady state, not in the transient.  The
+study's regressors are a tap-delay line, so consecutive ones share all but
+one sample, and the independence assumption fails on such input (Mazo, "On
+the independence theory of equalizer convergence", Bell Syst. Tech. J.
+58(5), 1979): LMS's mean curve falls well below the recursion in the
+transient, while a separate LMS fed i.i.d. N(0, R) regressors follows it
+throughout.  That gap is checked below.
+
 At levels 1, 4 and 8 the zero taps sit where the shrinkage is not linear,
-and the leaky rules read 0.85-0.93 of the LMS recursion's prediction, a
-gap not yet explained; neither is checked here.
+and the leaky rules read 0.85-0.93 of the LMS recursion's prediction;
+separate simulations put that gap in the mean weights, by the same
+tap-delay mechanism, but no model of it is checked here.
 """
 
 import numpy as np
@@ -56,6 +65,15 @@ from sparselms import ExperimentConfig, Variant
 
 # Relative tolerance of the steady-state check: about 2 stderr of the study.
 RTOL = 0.03
+# LMS's mean curve over iterations 1000-2000 lies below this share of the
+# recursion at every level.
+TRANSIENT_GAP = 0.8
+# The burst's peak over iterations 3000-7999 exceeds these multiples of the
+# steady-state mean and of the curve's largest value there more than
+# BURST_WIDTH iterations away.
+BURST_OVER_TAIL = 3.0
+BURST_OVER_REST = 2.5
+BURST_WIDTH = 200
 # The paired check's bound, in paired stderr, and the widest paired stderr of a
 # measured/predicted ratio that lets it fail: the study's are 0.24, 0.16 and 0.10.
 Z_BOUND = 3.0
@@ -142,3 +160,51 @@ def test_paired_differences_at_full_density_match_the_bias(study):
         assert excess[variant] > Z_BOUND * stderr
     order = [Variant.LP_LIKE_LLMS, Variant.LP_LIKE_LMS, Variant.LLMS]
     assert sorted(excess, key=excess.get) == order
+
+
+@pytest.mark.parametrize("level", (1, 4, 8, 16))
+def test_lms_transient_lies_below_the_gaussian_recursion(study, level):
+    """On tap-delay input LMS converges faster than the independence recursion
+    predicts: over iterations 1000-2000 its mean curve reads 0.753, 0.685,
+    0.634 and 0.631 of the recursion at levels 1, 4, 8 and 16, below
+    ``TRANSIENT_GAP`` by 2.7 across-run stderr at level 1 (0.047 of 0.017)
+    and 4.7-6.3 at the others.  Over 7500-8000, the steady-state window, it
+    reads 1.006-1.008, which ``test_lms_steady_state_matches_the_gaussian_recursion``
+    checks within ``RTOL``.
+    """
+    _, curves = study
+    config = ExperimentConfig()
+    lms = next(c for c in curves if c.variant is Variant.LMS and c.sparsity_level == level)
+    block = slice(1000, 2000)
+    ratio = lms.values[block].mean() / lms_theory_msd(level, config)[block].mean()
+    assert ratio < TRANSIENT_GAP
+
+
+@pytest.mark.parametrize("level", (1, 4, 8, 16))
+def test_one_burst_peaks_every_rule_at_one_iteration(study, level):
+    """One run of the default study (run 56 at seed 1234) bursts near
+    iteration 5,800 and recovers before the steady-state window, so the
+    steady-state checks do not see it, but every curve does.
+
+    Over iterations 3000-7999 all four rules peak at one iteration per level
+    (5831, 5826, 5820 and 5809 at levels 1, 4, 8 and 16).  The peak reads
+    3.33-55.6 times the steady-state mean, above ``BURST_OVER_TAIL`` = 3 by
+    11% in the lowest cell (``llms`` at 8; the next are ``lp_like_lms`` at 8,
+    6.01, and ``llms`` at 4, 8.26), and 3.02-24.8 times the curve's largest
+    value there more than ``BURST_WIDTH`` iterations away, above
+    ``BURST_OVER_REST`` = 2.5 by 21% in the lowest (``llms`` at 8 again).
+    The suspected cause is LMS's per-sample stability bound,
+    ``mu*||x_k||**2 < 2`` (Sayed, 2003), which some runs cross without a
+    burst.
+    """
+    summaries, curves = study
+    start = 3000
+    peaks = set()
+    for curve in (c for c in curves if c.sparsity_level == level):
+        late = curve.values[start:]
+        k = int(np.argmax(late))
+        peaks.add(start + k)
+        far = np.abs(np.arange(late.size) - k) > BURST_WIDTH
+        assert late[k] > BURST_OVER_TAIL * summaries[curve.variant, level].mean
+        assert late[k] > BURST_OVER_REST * late[far].max()
+    assert peaks == {{1: 5831, 4: 5826, 8: 5820, 16: 5809}[level]}
