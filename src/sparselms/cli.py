@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .config import parse_config
-from .emit import _sorted, emit_csv, emit_plot
+from .emit import emit_csv, emit_plot
 from .errors import ConfigError, DimensionMismatchError, DivergenceError, ParameterError
 from .experiment import run_experiment, steady_state
 from .filter_core import Variant
@@ -59,7 +59,7 @@ def _parse_sr_list(raw, config):
 
 def _print_summary(curves, config):
     print(f"{'algorithm':<14} {'SR':>6}  {'steady-state MSD':>18}  {'stderr':>12}")
-    for curve in _sorted(curves):
+    for curve in curves:
         s = steady_state(curve, config.steady_state_window)
         sr = f"{curve.sparsity_level}/{curve.n_taps}"
         print(f"{curve.variant.value:<14} {sr:>6}  {s.mean:>18.6e}  {s.stderr:>12.3e}")

@@ -9,9 +9,9 @@ averaged pointwise over runs.
 
 The sparsity level is the unit of work: its realizations and desired
 signal are built once and shared by every requested variant.  A request
-is checked whole before any level is built; then every requested cell
-runs before a divergence is raised, that of the first diverging cell in
-variant-major order, the order of the curves.
+is checked whole before any level is built.  Cells then run in one order,
+levels ascending and at each level the rules in ``Variant`` order, and
+the first cell to diverge raises at once: no later cell runs.
 
 The engine advances a variant's runs together on (taps x runs) arrays, the
 input reversed in time so that each regressor ``x[k], x[k-1], ...`` is a
@@ -256,9 +256,8 @@ def _run_level(config, cfgs, level):
     """Run one sparsity level's cells, one per ``AlgorithmConfig``, on shared realizations.
 
     The level's realizations and desired signal are built once and every
-    cell's engine reads them.  Returns one outcome per cell, in order: its
-    :class:`MsdCurve`, or the ``DivergenceError`` it raised, so that the
-    caller decides which error to report.
+    cell's engine reads them.  Returns the cells' curves in order; the first
+    cell that diverges raises, and no later cell runs.
     """
     n = config.iterations
     realizations = list(gen_cell_realizations(
@@ -266,27 +265,21 @@ def _run_level(config, cfgs, level):
         config.ar_coeff, config.drive_variance, config.noise_variance,
     ))
     signal = _batch_signal(realizations, n)
-    outcomes = []
-    for cfg in cfgs:
-        try:
-            outcomes.append(_run_variant(config, cfg, level, signal))
-        except DivergenceError as err:
-            # without its traceback, whose frames would keep the cell's
-            # (runs x iterations) traces alive until the error is raised
-            outcomes.append(err.with_traceback(None))
-    return outcomes
+    return [_run_variant(config, cfg, level, signal) for cfg in cfgs]
 
 
 def run_experiment(config, variants=None, levels=None):
     """Run the requested cells; defaults to every variant at every configured level.
 
     This is the one way to run cells, and it checks the whole request
-    before it builds any level.  Run r's realizations come from
+    before it builds any level.  Cells run in one order, whatever the order
+    of ``variants`` and ``levels``: levels ascending, and at each level the
+    rules in ``Variant`` order.  Run r's realizations come from
     ``RngStream(master_seed, r)``, so every variant sees the same systems,
     inputs and noise.  A level's realizations and desired signal are built
     once and shared by its cells; a cell's curve is the same, bit for bit,
-    whichever other cells are requested.  Curves come back variant-major
-    (all levels of the first variant, then the next).
+    whichever other cells are requested.  Curves come back in the CSV's
+    order: by rule in ``Variant`` order, then by level ascending.
 
     Raises
     ------
@@ -294,10 +287,10 @@ def run_experiment(config, variants=None, levels=None):
         If a variant is not a ``Variant``, a level not an integer in
         ``1..n_taps``, or a variant or level is requested twice.
     ConfigError
-        Naming the first cell, in variant-major order, without a schedule entry.
+        Naming the first cell, in run order, without a schedule entry.
     DivergenceError
-        Once every cell has run: the first diverging cell's in variant-major
-        order, naming its first diverging run and the iteration.
+        From the first cell, in run order, that diverges, naming its first
+        diverging run and the iteration; no later cell runs.
     """
     check_instance("config", config, _config.ExperimentConfig)
     variants = tuple(Variant) if variants is None else as_tuple("variants", variants)
@@ -306,18 +299,15 @@ def run_experiment(config, variants=None, levels=None):
     if len(set(variants)) != len(variants):
         raise ParameterError(f"variants must not repeat, got {tuple(v.value for v in variants)}")
     levels = config.sparsity_levels if levels is None else levels
-    levels = _config._check_levels("levels", levels, config.n_taps)
-    missing = [(v, s) for v in variants for s in levels if (v, s) not in config.schedule]
+    levels = sorted(_config._check_levels("levels", levels, config.n_taps))
+    variants = [v for v in Variant if v in variants]
+    missing = [(v, s) for s in levels for v in variants if (v, s) not in config.schedule]
     if missing:
         v, s = missing[0]
         raise ConfigError(f"schedule has no entry for ({v.value}, {s}/{config.n_taps})")
     levels = levels if variants else ()  # else each level is drawn for no cell
     by_level = [_run_level(config, [config.schedule[v, s] for v in variants], s) for s in levels]
-    outcomes = [outcome for row in zip(*by_level) for outcome in row]
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+    return [curve for row in zip(*by_level) for curve in row]
 
 
 @quietly

@@ -2,9 +2,9 @@
 
 Every message of ``parse_config`` and a stored digest of its outcomes on 2000
 seeded documents; fuzzed runs of ``main`` that may only exit 0, 1 or 2; the
-one-pass CSV and SVG writers; the exit hook; README's "Useful flags" list and
-Library block, so neither can drift; and, in fresh interpreters, which
-modules each import loads.
+one-pass CSV and SVG writers; the exit hook; README's "Useful flags" list,
+Library block and Tier-1 command, which CI runs, so none can drift; and, in
+fresh interpreters, which modules each import loads.
 """
 
 import ast
@@ -210,7 +210,7 @@ def test_a_built_study_is_its_document_at_any_levels(study):
     assert set(config.schedule) == {(v, s) for v in Variant for s in levels}
     copies = [dataclasses.replace(c, sparsity_levels=other_levels) for c in (config, document)]
     assert copies[0] == copies[1]
-    missing = [s for s in other_levels if s not in levels]
+    missing = sorted(s for s in other_levels if s not in levels)
     if missing:
         for copy in copies:
             with pytest.raises(ConfigError, match=rf"no entry for \(lms, {missing[0]}/{n_taps}\)"):
@@ -720,8 +720,9 @@ def test_main_rejects_a_repeated_item(flags, message, tmp_path, capsys):
 
 
 def test_main_list_order_changes_no_output(tmp_path, capsys):
+    orders = [("8/16,1/16", "llms,lms"), ("1/16,8/16", "lms,llms")]
     outputs = []
-    for sr, algorithms in [("8/16,1/16", "llms,lms"), ("1/16,8/16", "lms,llms")]:
+    for sr, algorithms in orders:
         out = tmp_path / sr.replace("/", "_")
         rc = main(["--sr", sr, "--algorithms", algorithms, "--runs", "2", "--iterations", "50",
                    "--plot", "--db", "--summary", "--out", str(out)])
@@ -732,6 +733,19 @@ def test_main_list_order_changes_no_output(tmp_path, capsys):
         outputs.append((rows, files))
     assert outputs[0] == outputs[1]
     assert len(outputs[0][0]) == 5  # the header and one row per cell
+    # a diverging study reported the first diverging cell in the request's order:
+    # (llms, 8/16) for the first order, (lms, 1/16) for the second
+    conf = tmp_path / "diverging.conf"
+    conf.write_text("mu = 10\n")
+    errors = []
+    for sr, algorithms in orders:
+        rc = main(["--config", str(conf), "--sr", sr, "--algorithms", algorithms, "--runs", "2",
+                   "--iterations", "300", "--out", str(tmp_path / "diverging")])
+        assert rc == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == (
+        "error: weights became non-finite at iteration 163 (run 0, lms 1/16)\n"
+    )
 
 
 def test_main_missing_config_file(tmp_path, capsys):
@@ -1012,6 +1026,18 @@ def test_readme_library_block_runs():
     deviation, summary = out.getvalue().splitlines()
     assert 0.0 <= float(deviation) < 1.0
     assert summary.startswith("SteadyStateSummary(variant=<Variant.LP_LIKE_LLMS")
+
+
+def test_ci_runs_the_readme_tier1_command():
+    # a text scan of the workflow, as PyYAML is no test dependency
+    root = Path(__file__).resolve().parents[1]
+    block = re.search(r"## Tests\n\n```sh\n(.*?)\n```", (root / "README.md").read_text(), re.S)
+    assert block, "README has no sh block under '## Tests'"
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    runs = re.findall(r"^\s*(?:-\s+)?run:\s*(.*?)\s*$", workflow, re.M)
+    tier1 = [run for run in runs if "pytest" in run and "perfbench/" not in run]
+    assert len(tier1) >= 2
+    assert tier1 == [block.group(1)] * len(tier1)
 
 
 def test_module_entry_point_runs_without_warnings(package_env):

@@ -324,7 +324,7 @@ def test_run_experiment_cells_equal_run_cell(variants):
     # still equal the cell run alone, bit for bit
     config = small_config(runs=4, sparsity_levels=(1, 4))
     curves = run_experiment(config, variants)
-    expected = [(v, s) for v in (variants or Variant) for s in (1, 4)]
+    expected = [(v, s) for v in Variant if v in (variants or Variant) for s in (1, 4)]
     assert [(c.variant, c.sparsity_level) for c in curves] == expected
     for curve, (v, s) in zip(curves, expected):
         alone = run_experiment(config, [v], [s])[0]
@@ -378,11 +378,11 @@ def test_missing_schedule_entry_fails_before_any_level_is_built(monkeypatch):
     assert calls == []
 
 
-def test_first_missing_schedule_entry_is_reported_in_variant_major_order():
+def test_first_missing_schedule_entry_is_reported_in_run_order():
     sched = default_schedule()
     del sched[(Variant.LLMS, 1)], sched[(Variant.LMS, 8)]
     config = small_config(runs=2, sparsity_levels=(1, 8), schedule=sched)
-    with pytest.raises(ConfigError, match=r"\(lms, 8/16\)"):
+    with pytest.raises(ConfigError, match=r"\(llms, 1/16\)"):
         run_experiment(config)
 
 
@@ -438,21 +438,27 @@ def test_numpy_integer_levels_are_ints():
     assert curve.sparsity_level == 1
 
 
-def test_run_experiment_raises_first_diverging_cell_in_variant_major_order():
-    # (lms, 8) comes first variant-major; level by level, (llms, 1) runs first
+def test_a_study_stops_at_its_first_diverging_cell_in_run_order(monkeypatch):
+    # (lms, 8) came first variant-major, but every cell ran before it was raised;
+    # level by level, (llms, 1) runs first and no later cell runs
     sched = default_schedule()
     sched[(Variant.LMS, 8)] = AlgorithmConfig(Variant.LMS, mu=1e200)
     sched[(Variant.LLMS, 1)] = AlgorithmConfig(Variant.LLMS, mu=1e200, gamma=0.005)
     config = small_config(runs=2, sparsity_levels=(1, 8), schedule=sched)
     with pytest.raises(DivergenceError) as alone:
-        run_experiment(config, [Variant.LMS], [8])[0]
+        run_experiment(config, [Variant.LLMS], [1])
+    ref = alone.value
+    calls = count_level_builds(monkeypatch)
     with pytest.raises(DivergenceError) as exc:
         run_experiment(config)
-    err, ref = exc.value, alone.value
-    assert (err.variant, err.level) == (ref.variant, ref.level) == (Variant.LMS, 8)
-    assert (err.run, err.iteration) == (ref.run, ref.iteration)
-    assert str(err) == str(ref)
-    assert str(err).endswith(f"(run {ref.run}, lms 8/16)")
+    assert calls == [1]
+    with pytest.raises(DivergenceError) as reordered:
+        run_experiment(config, [Variant.LLMS, Variant.LMS], [8, 1])
+    for err in (exc.value, reordered.value):
+        assert (err.variant, err.level) == (ref.variant, ref.level) == (Variant.LLMS, 1)
+        assert (err.run, err.iteration) == (ref.run, ref.iteration)
+        assert str(err) == str(ref)
+    assert str(ref).endswith(f"(run {ref.run}, llms 1/16)")
 
 
 def test_noiseless_steady_state_is_much_lower_than_noisy():

@@ -44,6 +44,7 @@ from sparselms import (
     Variant,
     pnorm_like,
     pnorm_like_gradient_term,
+    run_experiment,
     step,
 )
 from sparselms.cli import main
@@ -818,6 +819,30 @@ def test_configs_and_states_survive_pickle_and_deepcopy(variant):
             want, want_e = step(state, x, 0.4, rule)
             got, e = step(state_copy, x, 0.4, rule_copy)
             assert got.weights.tobytes() == want.weights.tobytes() and e == want_e
+
+
+def test_what_a_level_worker_sends_and_returns_survives_pickle():
+    # a pool of levels sends each worker a built study and gets back its curves
+    # or the first DivergenceError, all through pickle
+    def round_trip(obj):
+        return pickle.loads(pickle.dumps(obj))
+
+    study = ExperimentConfig(runs=3, iterations=40, steady_state_window=10, sparsity_levels=(2, 4))
+    assert round_trip(study) == study
+    [curve] = run_experiment(study, [Variant.LLMS], [2])
+    got = round_trip(curve)
+    assert (got.variant, got.sparsity_level, got.n_taps, got.runs) == (Variant.LLMS, 2, 16, 3)
+    assert got.values.tobytes() == curve.values.tobytes()
+    assert got.run_tails.tobytes() == curve.run_tails.tobytes()
+    runaway = {(Variant.LMS, 4): AlgorithmConfig(Variant.LMS, mu=1e200)}
+    with pytest.raises(DivergenceError) as exc:
+        run_experiment(dataclasses.replace(study, schedule=runaway), [Variant.LMS], [4])
+    err, got = exc.value, round_trip(exc.value)
+    assert type(got) is DivergenceError and str(got) == str(err)
+    assert (got.iteration, got.run, got.variant, got.level) == (
+        err.iteration, err.run, Variant.LMS, 4
+    )
+    assert err.iteration is not None and err.run is not None
 
 
 def test_states_and_curves_compare_and_hash_by_identity():
