@@ -76,13 +76,9 @@ def emit_plot(curves, out, db_scale=False):
         f'<rect width="{width}" height="{height}" fill="white"/>',
         '<g class="legend">',
     ]
-    seen = []
-    for c in curves:
-        if c.variant not in seen:
-            seen.append(c.variant)
     lx = 20
     ly = legend_h // 2
-    for v in seen:
+    for v in dict.fromkeys(c.variant for c in curves):
         color = _COLORS[v.value]
         parts.append(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '

@@ -4,9 +4,11 @@ Everything here is a deterministic function of its parameters and an
 :class:`RngStream`; a run's whole realization (sparse system, AR(1) input,
 observation noise) is replayed bit-exactly by rebuilding the stream from
 ``(seed, stream_id)``.  :func:`gen_cell_realizations` builds a whole
-cell's realizations at once, row r equal to what the single-run generators
-draw from ``RngStream(seed, r)``, and runs the AR(1) recursion on the rows of
-its drives in place, one numpy step per sample.
+cell's realizations at once: row r's system is :func:`gen_sparse_system`'s
+draw on ``RngStream(seed, r)``, and its drive and noise equal what
+:func:`gen_ar1_input` and :func:`gen_gaussian_noise` then draw on that stream;
+it runs the AR(1) recursion on the rows of its drives in place, one numpy
+step per sample.
 """
 
 import math
@@ -66,12 +68,6 @@ def _check_system(n_taps, n_nonzero):
     check_integer("n_nonzero", n_nonzero, 1, n_taps)
 
 
-def _draw_system(g, n_taps, n_nonzero):
-    """Nonzero positions and their signs (+/-1), in the order both are drawn."""
-    pos = g.choice(n_taps, size=n_nonzero, replace=False)
-    return pos, g.integers(0, 2, size=n_nonzero) * 2 - 1
-
-
 def gen_sparse_system(n_taps, n_nonzero, rng):
     """Random sparse impulse response: ``n_nonzero`` taps at +/-1, rest 0.
 
@@ -79,9 +75,11 @@ def gen_sparse_system(n_taps, n_nonzero, rng):
     +1 or -1 with probability 1/2.
     """
     _check_system(n_taps, n_nonzero)
+    g = _gen(rng)
     w = np.zeros(n_taps)
-    pos, signs = _draw_system(_gen(rng), n_taps, n_nonzero)
-    w[pos] = signs
+    # two statements: on one line the signs (the right side) would be drawn first
+    pos = g.choice(n_taps, size=n_nonzero, replace=False)
+    w[pos] = g.integers(0, 2, size=n_nonzero) * 2 - 1
     return w
 
 
@@ -155,10 +153,10 @@ def gen_cell_realizations(
 ):
     """Every run's realization for one cell: ``(systems, xs, noises)``.
 
-    Row r is drawn from ``RngStream(master_seed, r)`` in the order the
-    single-run generators use (system, AR(1) drive, noise), so it equals
-    :func:`gen_sparse_system`, :func:`gen_ar1_input` and
-    :func:`gen_gaussian_noise` called in turn on that stream, bit for bit.
+    Row r's system is :func:`gen_sparse_system`'s draw on
+    ``RngStream(master_seed, r)``; its drive and noise are drawn next on that
+    stream and equal :func:`gen_ar1_input`'s and :func:`gen_gaussian_noise`'s
+    called in turn after it, bit for bit.
     ``systems`` is (runs x n_taps); ``xs`` and ``noises`` are (runs x length),
     the two halves of one (runs x 2*length) buffer.  A run's drive and
     noise come from one draw of ``2*length`` normals, which equals two
@@ -171,15 +169,12 @@ def gen_cell_realizations(
     runs, length = _check_cell_size(runs, length)
     length, coeff, drive_variance = _check_ar1(length, coeff, drive_variance)
     noise_variance = check_real("noise_variance", noise_variance, **_RANGES["noise_variance"])
-    positions = np.empty((runs, n_nonzero), dtype=np.intp)
-    signs = np.empty((runs, n_nonzero))
+    systems = np.empty((runs, n_taps))
     z = np.empty((runs, 2 * length))
     for r in range(runs):
         g = RngStream(master_seed, r).generator
-        positions[r], signs[r] = _draw_system(g, n_taps, n_nonzero)
+        systems[r] = gen_sparse_system(n_taps, n_nonzero, g)
         g.standard_normal(out=z[r])
-    systems = np.zeros((runs, n_taps))
-    systems[np.arange(runs)[:, None], positions] = signs
     drives, noises = z[:, :length], z[:, length:]
     drives *= np.sqrt(drive_variance)
     noises *= np.sqrt(noise_variance)
