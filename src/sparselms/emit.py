@@ -10,14 +10,7 @@ from .filter_core import Variant
 
 __all__ = ["emit_csv", "emit_plot"]
 
-_VARIANT_ORDER = {v: i for i, v in enumerate(Variant)}
-
-_COLORS = {
-    "lms": "#1f77b4",
-    "llms": "#ff7f0e",
-    "lp_like_lms": "#2ca02c",
-    "lp_like_llms": "#d62728",
-}
+_COLORS = dict(zip(Variant, ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728"), strict=True))
 
 _DB_FLOOR = 1e-300
 
@@ -28,7 +21,7 @@ def _sorted(curves):
     curves = as_tuple("curves", curves)
     for i, curve in enumerate(curves):
         check_instance(f"curves[{i}]", curve, MsdCurve)
-    return sorted(curves, key=lambda c: (_VARIANT_ORDER[c.variant], c.sparsity_level))
+    return sorted(curves, key=lambda c: (tuple(Variant).index(c.variant), c.sparsity_level))
 
 
 def emit_csv(curves, out):
@@ -53,17 +46,21 @@ def emit_csv(curves, out):
 def emit_plot(curves, out, db_scale=False):
     """Write a self-contained SVG: one subplot per sparsity level.
 
-    Each subplot carries one polyline per algorithm (one vertex per
+    Subplots go in ascending ``(level, n_taps)``, two per row, under a shared
+    legend.  Each carries one polyline per algorithm (one vertex per
     iteration) plus ``data-ymin``/``data-ymax`` attributes recording the
-    plotted data range; a shared legend sits on top.  A polyline's points
-    are one ``%``-template filled from ``.tolist()``.
+    plotted data range.  Polylines and legend entries go in ``Variant``
+    order, so the file does not depend on the order of ``curves``.  A
+    polyline's points are one ``%``-template filled from ``.tolist()``.
     """
     curves = _sorted(curves)
     if not curves:
         raise ParameterError("emit_plot needs at least one curve")
-    levels = sorted({(c.sparsity_level, c.n_taps) for c in curves})
-    ncols = min(2, len(levels))
-    nrows = -(-len(levels) // ncols)
+    groups = {}
+    for c in curves:
+        groups.setdefault((c.sparsity_level, c.n_taps), []).append(c)
+    ncols = min(2, len(groups))
+    nrows = -(-len(groups) // ncols)
     sub_w, sub_h = 440, 300
     legend_h = 34
     width = ncols * sub_w + 20
@@ -79,22 +76,21 @@ def emit_plot(curves, out, db_scale=False):
     lx = 20
     ly = legend_h // 2
     for v in dict.fromkeys(c.variant for c in curves):
-        color = _COLORS[v.value]
         parts.append(
             f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="2"/>'
+            f'stroke="{_COLORS[v]}" stroke-width="2"/>'
         )
         parts.append(f'<text x="{lx + 32}" y="{ly + 4}">{v.value}</text>')
         lx += 32 + 8 * len(v.value) + 24
     parts.append("</g>")
 
-    for idx, (level, den) in enumerate(levels):
+    for idx, (level, den) in enumerate(sorted(groups)):
         row, col = divmod(idx, ncols)
         ox = 10 + col * sub_w
         oy = legend_h + row * sub_h
         x0, x1 = ox + 64, ox + sub_w - 16
         y0, y1 = oy + 30, oy + sub_h - 40
-        group = [c for c in curves if (c.sparsity_level, c.n_taps) == (level, den)]
+        group = groups[level, den]
         ys = [10.0 * np.log10(np.maximum(c.values, _DB_FLOOR)) if db_scale else c.values
               for c in group]
         ymin = min(float(a.min()) for a in ys)
@@ -113,22 +109,18 @@ def emit_plot(curves, out, db_scale=False):
             f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
             f'fill="none" stroke="#888"/>'
         )
-        parts.append(
-            f'<text x="{(x0 + x1) // 2}" y="{y0 - 8}" text-anchor="middle" '
-            f'font-weight="bold">SR = {level}/{den}</text>'
-        )
-        parts.append(f'<text x="{x0 - 6}" y="{y1 + 4}" text-anchor="end">{ymin:.4g}</text>')
-        parts.append(f'<text x="{x0 - 6}" y="{y0 + 4}" text-anchor="end">{ymax:.4g}</text>')
-        parts.append(f'<text x="{x0}" y="{y1 + 16}" text-anchor="middle">0</text>')
-        parts.append(f'<text x="{x1}" y="{y1 + 16}" text-anchor="middle">{nmax - 1}</text>')
-        parts.append(
-            f'<text x="{(x0 + x1) // 2}" y="{y1 + 32}" text-anchor="middle">iteration</text>'
-        )
-        ry = (y0 + y1) // 2
-        parts.append(
-            f'<text x="{ox + 14}" y="{ry}" text-anchor="middle" '
-            f'transform="rotate(-90 {ox + 14} {ry})">{ylab}</text>'
-        )
+        xm, ym, lab_x = (x0 + x1) // 2, (y0 + y1) // 2, ox + 14
+        labels = [
+            (xm, y0 - 8, "middle", ' font-weight="bold"', f"SR = {level}/{den}"),
+            (x0 - 6, y1 + 4, "end", "", f"{ymin:.4g}"),
+            (x0 - 6, y0 + 4, "end", "", f"{ymax:.4g}"),
+            (x0, y1 + 16, "middle", "", 0),
+            (x1, y1 + 16, "middle", "", nmax - 1),
+            (xm, y1 + 32, "middle", "", "iteration"),
+            (lab_x, ym, "middle", f' transform="rotate(-90 {lab_x} {ym})"', ylab),
+        ]
+        parts += [f'<text x="{x}" y="{y}" text-anchor="{anchor}"{extra}>{body}</text>'
+                  for x, y, anchor, extra, body in labels]
         for c, arr in zip(group, ys):
             xy = np.empty((arr.shape[0], 2))
             xy[:, 0] = sx[: arr.shape[0]]
@@ -136,7 +128,7 @@ def emit_plot(curves, out, db_scale=False):
             pts = " ".join(["%.2f,%.2f"] * arr.shape[0]) % tuple(xy.ravel().tolist())
             parts.append(
                 f'<polyline class="curve" data-algorithm="{c.variant.value}" fill="none" '
-                f'stroke="{_COLORS[c.variant.value]}" stroke-width="1" points="{pts}"/>'
+                f'stroke="{_COLORS[c.variant]}" stroke-width="1" points="{pts}"/>'
             )
         parts.append("</g>")
     parts.append("</svg>")

@@ -610,6 +610,23 @@ def test_plot_points_match_the_per_vertex_format(db_scale, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PLOT_SHA256[db_scale]
 
 
+def test_writers_ignore_the_order_of_their_curves(tmp_path):
+    # subplots go by (level, n_taps) and curves by Variant, whatever order they come in
+    curves = plot_test_curves()
+    shuffled = curves[:]
+    random.Random(39).shuffle(shuffled)
+    expected_csv = emit_csv(curves, tmp_path / "curves.csv").read_bytes()
+    for i, order in enumerate([curves[::-1], shuffled]):
+        assert order != curves
+        assert emit_csv(order, tmp_path / f"{i}.csv").read_bytes() == expected_csv
+        for db_scale in (False, True):
+            svg = emit_plot(order, tmp_path / f"{i}.svg", db_scale=db_scale).read_bytes()
+            assert hashlib.sha256(svg).hexdigest() == PLOT_SHA256[db_scale]
+    # lms, the first rule, only at 16/16: the subplots still go by level
+    out = emit_plot([make_curve(Variant.LLMS, 1), make_curve(Variant.LMS, 16)], tmp_path / "2.svg")
+    assert [g.get("data-sr") for g in subplots(out)] == ["1/16", "16/16"]
+
+
 def test_plot_requires_curves(tmp_path):
     with pytest.raises(ParameterError):
         emit_plot([], tmp_path / "none.svg")
